@@ -21,9 +21,11 @@
  * PE, which cannot deadlock (no hold-and-wait).
  *
  *   pim_perf [--pes=N] [--scale=N] [--reps=N] [--smoke]
+ *            [--span=N] [--write-pct=N] [--lock-pct=N] [--opt-pct=N]
  *            [--cluster-size=N] [--hop-cycles=N]
  *            [--min-speedup=X] [--json=PATH] [--attribution-out=PATH]
- *            [--par-jobs=N] [--min-par-speedup=X] [--min-par-local-frac=X]
+ *
+ * Unknown flags are rejected (exit 1).
  *
  * --cluster-size=N partitions the PEs into per-cluster snooping buses
  * with an inter-cluster directory (docs/ARCHITECTURE.md); 0 keeps the
@@ -39,20 +41,6 @@
  * below X. --smoke shrinks the grid for CI, where wall-clock ratios on
  * loaded machines are noise — it checks the exactness invariants and the
  * JSON schema, not the speedup.
- *
- * --par-jobs=N adds the parallel discrete-event core section
- * (docs/ARCHITECTURE.md "Threading model"): per PE point it drives the
- * same independent-stream workload twice — on the serialized core
- * (jobs=1) and on the concurrent core with N worker threads — and
- * reports refs/sec for both, the parallel speedup, and the local
- * fraction (the share of references the concurrent path executed
- * between bus epochs — the machine-independent parallelism metric).
- * Determinism gate: fingerprint, makespan, bus transactions and
- * protocol hash must be byte-identical between the two runs; any
- * mismatch exits 1. --min-par-speedup=X gates the largest point's
- * wall-clock speedup (meaningless on single-core CI hosts);
- * --min-par-local-frac=X gates the deterministic local fraction
- * instead, which holds on any host.
  */
 
 #include <algorithm>
@@ -68,8 +56,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "obs/attribution.h"
-#include "sim/par_workload.h"
-#include "sim/parallel_core.h"
+#include "sim/ref_source.h"
 #include "sim/system.h"
 
 using namespace pim;
@@ -127,6 +114,131 @@ struct Shape {
 };
 
 /**
+ * The perf workload as a RefSource: every decision draws from one
+ * shared RNG in global simulation order (runRefSource pulls for a PE
+ * only after selecting it). The main phase generates traffic until
+ * @c steps references completed; the drain phase then releases held
+ * locks (no RNG draws) and ends each PE's stream, so no PE is left
+ * parked at teardown. Main-phase completions fold (pe, op), address and
+ * read data into the fingerprint; drain completions fold the address
+ * only.
+ */
+class PerfSource : public RefSource
+{
+  public:
+    PerfSource(const Shape& shape, std::uint32_t pes, std::uint64_t steps,
+               std::uint64_t seed, std::uint64_t block, Addr lock_base,
+               std::uint32_t lock_words, Addr rec_base)
+        : shape_(shape),
+          steps_(steps),
+          block_(block),
+          lockBase_(lock_base),
+          lockWords_(lock_words),
+          nextRecord_(rec_base),
+          rng_(seed),
+          state_(pes)
+    {
+    }
+
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
+    bool
+    next(PeId pe, SourceOp* out) override
+    {
+        PeState& st = state_[pe];
+        out->area = Area::Heap;
+        out->wdata = 0;
+        if (completed_ >= steps_) {
+            if (!st.holdsLock)
+                return false;
+            out->op = MemOp::U;
+            out->addr = st.heldLock;
+            return true;
+        }
+        const std::uint64_t roll = draw(rng_, 100);
+        if (roll < shape_.lockPct) {
+            // Hold-at-most-one discipline: a holder always releases
+            // before acquiring again, so lock traffic can never close a
+            // busy-wait cycle.
+            if (st.holdsLock) {
+                out->addr = st.heldLock;
+                if ((rng_.next() & 1) != 0) {
+                    out->op = MemOp::UW;
+                    out->wdata = rng_.next();
+                } else {
+                    out->op = MemOp::U;
+                }
+            } else {
+                out->op = MemOp::LR;
+                out->addr = lockBase_ + draw(rng_, lockWords_);
+            }
+        } else if (roll < shape_.lockPct + shape_.optPct) {
+            if (!records_.empty() && (rng_.next() & 1) != 0) {
+                out->addr = records_.back();
+                records_.pop_back();
+                out->op = (rng_.next() & 1) != 0 ? MemOp::ER : MemOp::RP;
+            } else {
+                out->op = MemOp::DW;
+                out->addr = nextRecord_;
+                nextRecord_ += block_;
+                out->wdata = rng_.next();
+            }
+        } else {
+            out->addr = draw(rng_, shape_.spanWords);
+            if (draw(rng_, 100) < shape_.writePct) {
+                out->op = MemOp::W;
+                out->wdata = rng_.next();
+            } else {
+                out->op = MemOp::R;
+            }
+        }
+        return true;
+    }
+
+    void
+    complete(PeId pe, const SourceOp& op, Word data) override
+    {
+        PeState& st = state_[pe];
+        if (op.op == MemOp::LR) {
+            st.holdsLock = true;
+            st.heldLock = op.addr;
+        } else if (op.op == MemOp::UW || op.op == MemOp::U) {
+            st.holdsLock = false;
+        }
+        if (completed_ >= steps_) {
+            fingerprint_ = mix(fingerprint_, op.addr);
+            return;
+        }
+        if (op.op == MemOp::DW)
+            records_.push_back(op.addr);
+        completed_ += 1;
+        fingerprint_ = mix(fingerprint_,
+                           (static_cast<std::uint64_t>(pe) << 8) |
+                               static_cast<std::uint64_t>(op.op));
+        fingerprint_ = mix(fingerprint_, op.addr);
+        fingerprint_ = mix(fingerprint_, data);
+    }
+
+  private:
+    struct PeState {
+        Addr heldLock = 0;
+        bool holdsLock = false;
+    };
+
+    const Shape& shape_;
+    const std::uint64_t steps_;
+    const std::uint64_t block_;
+    const Addr lockBase_;
+    const std::uint32_t lockWords_;
+    Addr nextRecord_;
+    Rng rng_;
+    std::vector<PeState> state_;
+    std::vector<Addr> records_; ///< Produced, not yet consumed records.
+    std::uint64_t completed_ = 0;
+    std::uint64_t fingerprint_ = 0;
+};
+
+/**
  * Drive @p steps random references over @p pes PEs with the snoop
  * filter on or off, repeated @p reps times; keeps the fastest wall
  * time. Every rep is the same pure function of the seed, so the
@@ -167,154 +279,18 @@ runWorkload(std::uint32_t pes, std::uint64_t steps, bool filter,
                 geom.ways * geom.sets);
             system.addEventSink(attr_out->get());
         }
-
-        struct PeState {
-            bool hasRetry = false;
-            MemOp retryOp = MemOp::R;
-            Addr retryAddr = 0;
-            Word retryData = 0;
-            Addr heldLock = 0;
-            bool holdsLock = false;
-        };
-        std::vector<PeState> state(pes);
-        std::vector<Addr> records;
-        Addr next_record = rec_base;
-        std::uint64_t fingerprint = 0;
-        Rng rng(seed);
+        PerfSource source(shape, pes, steps, seed, block, lock_base,
+                          lock_words, rec_base);
 
         const auto start = std::chrono::steady_clock::now();
-        std::uint64_t completed = 0;
-        while (completed < steps) {
-            const PeId pe = system.earliestRunnable();
-            PeState& st = state[pe];
-            MemOp op;
-            Addr addr;
-            Word wdata = 0;
-            if (st.hasRetry) {
-                op = st.retryOp;
-                addr = st.retryAddr;
-                wdata = st.retryData;
-            } else {
-                const std::uint64_t roll = draw(rng, 100);
-                if (roll < shape.lockPct) {
-                    // Hold-at-most-one discipline: a holder always
-                    // releases before acquiring again, so lock traffic
-                    // can never close a busy-wait cycle.
-                    if (st.holdsLock) {
-                        addr = st.heldLock;
-                        if ((rng.next() & 1) != 0) {
-                            op = MemOp::UW;
-                            wdata = rng.next();
-                        } else {
-                            op = MemOp::U;
-                        }
-                    } else {
-                        op = MemOp::LR;
-                        addr = lock_base + draw(rng, lock_words);
-                    }
-                } else if (roll < shape.lockPct + shape.optPct) {
-                    if (!records.empty() && (rng.next() & 1) != 0) {
-                        addr = records.back();
-                        records.pop_back();
-                        op = (rng.next() & 1) != 0 ? MemOp::ER : MemOp::RP;
-                    } else {
-                        op = MemOp::DW;
-                        addr = next_record;
-                        next_record += block;
-                        wdata = rng.next();
-                    }
-                } else {
-                    addr = draw(rng, shape.spanWords);
-                    if (draw(rng, 100) < shape.writePct) {
-                        op = MemOp::W;
-                        wdata = rng.next();
-                    } else {
-                        op = MemOp::R;
-                    }
-                }
-            }
-
-            const System::Access access =
-                system.access(pe, op, addr, Area::Heap, wdata);
-            if (access.lockWait) {
-                st.hasRetry = true;
-                st.retryOp = op;
-                st.retryAddr = addr;
-                st.retryData = wdata;
-                continue;
-            }
-            st.hasRetry = false;
-            if (op == MemOp::LR) {
-                st.holdsLock = true;
-                st.heldLock = addr;
-            } else if (op == MemOp::UW || op == MemOp::U) {
-                st.holdsLock = false;
-            }
-            if (op == MemOp::DW)
-                records.push_back(addr);
-            completed += 1;
-            fingerprint = mix(fingerprint,
-                              (static_cast<std::uint64_t>(pe) << 8) |
-                                  static_cast<std::uint64_t>(op));
-            fingerprint = mix(fingerprint, addr);
-            fingerprint = mix(fingerprint, access.data);
-        }
-        // Drain: release held locks so no PE is left parked at teardown.
-        // Pick the earliest-clock unparked PE that still has work; one
-        // always exists because every parked PE waits on a lock whose
-        // holder is unparked (hold-at-most-one).
-        for (;;) {
-            PeId pe = kNoPe;
-            bool anything_left = false;
-            for (PeId p = 0; p < system.numPes(); ++p) {
-                if (system.parked(p)) {
-                    anything_left = true;
-                    continue;
-                }
-                if (!state[p].hasRetry && !state[p].holdsLock)
-                    continue;
-                anything_left = true;
-                if (pe == kNoPe || system.clock(p) < system.clock(pe))
-                    pe = p;
-            }
-            if (!anything_left)
-                break;
-            PeState& st = state[pe];
-            MemOp op = MemOp::U;
-            Addr addr;
-            Word wdata = 0;
-            if (st.hasRetry) {
-                op = st.retryOp;
-                addr = st.retryAddr;
-                wdata = st.retryData;
-            } else {
-                addr = st.heldLock;
-            }
-            const System::Access access =
-                system.access(pe, op, addr, Area::Heap, wdata);
-            if (access.lockWait) {
-                st.hasRetry = true;
-                st.retryOp = op;
-                st.retryAddr = addr;
-                st.retryData = wdata;
-                continue;
-            }
-            st.hasRetry = false;
-            if (op == MemOp::LR) {
-                st.holdsLock = true;
-                st.heldLock = addr;
-            } else if (op == MemOp::UW || op == MemOp::U) {
-                st.holdsLock = false;
-            }
-            fingerprint = mix(fingerprint, addr);
-        }
+        runRefSource(system, source);
         const auto stop = std::chrono::steady_clock::now();
 
         const double seconds =
             std::chrono::duration<double>(stop - start).count();
         if (rep == 0 || seconds < m.seconds)
             m.seconds = seconds;
-        m.fingerprint = fingerprint;
+        m.fingerprint = source.fingerprint();
         m.makespan = system.makespan();
         m.busTrans = 0;
         for (int p = 0; p < kNumBusPatterns; ++p)
@@ -323,71 +299,6 @@ runWorkload(std::uint32_t pes, std::uint64_t steps, bool filter,
         m.interCluster = system.bus().stats().interClusterCycles;
         if (stats_out != nullptr)
             *stats_out = system.bus().stats();
-    }
-    return m;
-}
-
-/** One parallel-core run's observables. */
-struct ParMeasurement {
-    double seconds = 0;             ///< Best wall time over the reps.
-    std::uint64_t completed = 0;    ///< References completed.
-    std::uint64_t localRefs = 0;    ///< Concurrent private-hit refs.
-    std::uint64_t epochs = 0;       ///< Epoch-gate rendezvous.
-    std::uint64_t fingerprint = 0;  ///< Jobs-invariant run fingerprint.
-    std::uint64_t makespan = 0;
-    std::uint64_t busTrans = 0;
-    std::uint64_t protoHash = 0;
-    std::uint64_t interCluster = 0;
-    bool serialized = false;
-};
-
-/**
- * Drive the per-PE independent-stream workload (ParWorkloadSource)
- * through runParallelCore with @p jobs workers, repeated @p reps times;
- * keeps the fastest wall time. Non-timing observables are a pure
- * function of the seed and must be identical for any jobs count — the
- * caller enforces that.
- */
-ParMeasurement
-runParCore(std::uint32_t pes, std::uint64_t steps_total, unsigned jobs,
-           std::uint32_t reps, const ParShape& base_shape,
-           const ClusterConfig& cluster)
-{
-    ParMeasurement m;
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        ParShape shape = base_shape;
-        shape.stepsPerPe = std::max<std::uint64_t>(1, steps_total / pes);
-        SystemConfig sys_config;
-        sys_config.numPes = pes;
-        sys_config.cluster = cluster;
-        ParWorkloadSource source(shape, pes,
-                                 sys_config.cache.geometry.blockWords);
-        sys_config.memoryWords = source.memoryWords();
-        sys_config.validate();
-        System system(sys_config);
-
-        ParallelCoreOptions options;
-        options.jobs = jobs;
-        const auto start = std::chrono::steady_clock::now();
-        const ParallelRunResult result =
-            runParallelCore(system, source, options);
-        const auto stop = std::chrono::steady_clock::now();
-
-        const double seconds =
-            std::chrono::duration<double>(stop - start).count();
-        if (rep == 0 || seconds < m.seconds)
-            m.seconds = seconds;
-        m.completed = result.completedRefs;
-        m.localRefs = result.localRefs;
-        m.epochs = result.epochs;
-        m.fingerprint = result.fingerprint;
-        m.serialized = result.serialized;
-        m.makespan = system.makespan();
-        m.busTrans = 0;
-        for (int p = 0; p < kNumBusPatterns; ++p)
-            m.busTrans += system.bus().stats().transByPattern[p];
-        m.protoHash = system.protocolHash(0, sys_config.memoryWords);
-        m.interCluster = system.bus().stats().interClusterCycles;
     }
     return m;
 }
@@ -409,9 +320,17 @@ fmt(const char* spec, double v)
     return buf;
 }
 
+const char* const kKnownFlags[] = {
+    "scale", "pes", "json", "smoke", "reps", "min-speedup", "span",
+    "write-pct", "lock-pct", "opt-pct", "cluster-size", "hop-cycles",
+    "attribution-out",
+};
+
 int
 perfMain(int argc, char** argv)
 {
+    if (!flagsAreKnown("pim_perf", argc, argv, kKnownFlags))
+        return 1;
     BenchContext ctx = BenchContext::parse(argc, argv);
     // The filter's payoff grows with the port count, so this harness
     // defaults to 16 PEs (the paper's largest configuration) rather than
@@ -532,8 +451,6 @@ perfMain(int argc, char** argv)
             json.set("bus_transactions", m.busTrans);
             json.set("fingerprint", hex(m.fingerprint));
             json.set("speedup_vs_unfiltered", filtered ? speedup : 1.0);
-            json.set("par_jobs", 0);
-            json.set("speedup_vs_seq", 1.0);
             json.set("cluster_size", cluster.clusterSize);
             json.set("hop_cycles", cluster.hopCycles);
             json.set("inter_cluster_cycles", m.interCluster);
@@ -551,128 +468,6 @@ perfMain(int argc, char** argv)
                     "--min-speedup=%.2f gate\n",
                     last_speedup, pe_points.back(), min_speedup);
         ++failures;
-    }
-
-    // Parallel discrete-event core section (--par-jobs=N).
-    const unsigned par_jobs = static_cast<unsigned>(
-        ctx.options.getInt("par-jobs", 0));
-    if (par_jobs >= 1) {
-        const double min_par_speedup = std::strtod(
-            ctx.options.getString("min-par-speedup", "0").c_str(),
-            nullptr);
-        const double min_par_local_frac = std::strtod(
-            ctx.options.getString("min-par-local-frac", "0").c_str(),
-            nullptr);
-        ParShape par_shape;
-        par_shape.sharedPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-shared-pct", par_shape.sharedPct));
-        par_shape.lockPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-lock-pct", par_shape.lockPct));
-        par_shape.optPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-opt-pct", par_shape.optPct));
-
-        std::printf("\nparallel core: serialized vs %u jobs "
-                    "(docs/ARCHITECTURE.md \"Threading model\")\n",
-                    par_jobs);
-        Table par_table("measured: refs/sec, serialized vs parallel "
-                        "(identical runs)");
-        par_table.setHeader({"PEs", "local%", "epochs", "refs/s seq",
-                             "refs/s par", "speedup"});
-
-        double last_par_speedup = 0;
-        double last_local_frac = 0;
-        for (std::uint32_t pes : pe_points) {
-            const ParMeasurement seq =
-                runParCore(pes, steps, 1, reps, par_shape, cluster);
-            const ParMeasurement par =
-                runParCore(pes, steps, par_jobs, reps, par_shape,
-                           cluster);
-
-            // Determinism gate: the jobs count must not change a single
-            // observable (the issue's identical-results contract).
-            if (seq.fingerprint != par.fingerprint ||
-                seq.makespan != par.makespan ||
-                seq.busTrans != par.busTrans ||
-                seq.protoHash != par.protoHash ||
-                seq.interCluster != par.interCluster ||
-                seq.completed != par.completed) {
-                std::printf(
-                    "FAIL: parallel core diverged at %u PEs, %u jobs "
-                    "(fingerprint %s vs %s, makespan %llu vs %llu, "
-                    "bus %llu vs %llu, proto %s vs %s)\n",
-                    pes, par_jobs, hex(seq.fingerprint).c_str(),
-                    hex(par.fingerprint).c_str(),
-                    static_cast<unsigned long long>(seq.makespan),
-                    static_cast<unsigned long long>(par.makespan),
-                    static_cast<unsigned long long>(seq.busTrans),
-                    static_cast<unsigned long long>(par.busTrans),
-                    hex(seq.protoHash).c_str(),
-                    hex(par.protoHash).c_str());
-                ++failures;
-                continue;
-            }
-
-            const double total_refs = static_cast<double>(seq.completed);
-            const double rps_seq = total_refs / seq.seconds;
-            const double rps_par = total_refs / par.seconds;
-            const double par_speedup = rps_par / rps_seq;
-            const double local_frac =
-                par.completed == 0
-                    ? 0.0
-                    : static_cast<double>(par.localRefs) /
-                          static_cast<double>(par.completed);
-            last_par_speedup = par_speedup;
-            last_local_frac = local_frac;
-
-            par_table.addRow(
-                {std::to_string(pes), fmt("%.1f%%", 100.0 * local_frac),
-                 std::to_string(par.epochs), fmt("%.0f", rps_seq),
-                 fmt("%.0f", rps_par), fmt("%.2fx", par_speedup)});
-
-            for (int mode = 0; mode < 2; ++mode) {
-                const bool parallel = mode == 1;
-                const ParMeasurement& m = parallel ? par : seq;
-                json.row();
-                json.set("bench", "par-core");
-                json.set("pes_point", pes);
-                json.set("mode", parallel ? "par-core" : "seq-core");
-                json.set("refs", m.completed);
-                json.set("wall_seconds", m.seconds);
-                json.set("refs_per_sec", total_refs / m.seconds);
-                json.set("cycles_per_ref",
-                         static_cast<double>(m.makespan) / total_refs);
-                json.set("bus_transactions", m.busTrans);
-                json.set("fingerprint", hex(m.fingerprint));
-                json.set("speedup_vs_unfiltered", 1.0);
-                json.set("par_jobs", parallel ? par_jobs : 1);
-                json.set("speedup_vs_seq", parallel ? par_speedup : 1.0);
-                json.set("local_frac", parallel ? local_frac : 0.0);
-                json.set("epochs", m.epochs);
-                json.set("cluster_size", cluster.clusterSize);
-                json.set("hop_cycles", cluster.hopCycles);
-                json.set("inter_cluster_cycles", m.interCluster);
-            }
-        }
-
-        std::printf("%s\n", par_table.toString().c_str());
-        std::printf("observables identical between the serialized and "
-                    "%u-job runs at every point\n", par_jobs);
-
-        if (min_par_speedup > 0 && last_par_speedup < min_par_speedup) {
-            std::printf("FAIL: parallel speedup %.2fx at %u PEs is below "
-                        "the --min-par-speedup=%.2f gate\n",
-                        last_par_speedup, pe_points.back(),
-                        min_par_speedup);
-            ++failures;
-        }
-        if (min_par_local_frac > 0 &&
-            last_local_frac < min_par_local_frac) {
-            std::printf("FAIL: local fraction %.3f at %u PEs is below "
-                        "the --min-par-local-frac=%.3f gate\n",
-                        last_local_frac, pe_points.back(),
-                        min_par_local_frac);
-            ++failures;
-        }
     }
 
     const std::string attribution_out =

@@ -18,7 +18,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/options.h"
@@ -73,27 +72,6 @@ const char* const kKnownFlags[] = {
     "checkpoint-every", "help",
 };
 
-/** Like pim_stress: a mistyped flag must not silently run a default. */
-bool
-flagsAreKnown(int argc, const char* const* argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
-            continue;
-        std::string name(argv[i] + 2);
-        name = name.substr(0, name.find('='));
-        bool known = false;
-        for (const char* flag : kKnownFlags)
-            known = known || name == flag;
-        if (!known) {
-            std::fprintf(stderr, "pim_sweep: unknown option --%s\n",
-                         name.c_str());
-            return false;
-        }
-    }
-    return true;
-}
-
 SweepSpec
 loadSpec(const std::string& spec_arg)
 {
@@ -116,7 +94,7 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown(argc, argv)) {
+    if (!flagsAreKnown("pim_sweep", argc, argv, kKnownFlags)) {
         usage();
         return 1;
     }

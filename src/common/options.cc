@@ -1,5 +1,6 @@
 #include "common/options.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/strutil.h"
@@ -105,6 +106,27 @@ envInt(const char* name, std::int64_t fallback)
     if (value == nullptr || value[0] == '\0')
         return fallback;
     return std::strtoll(value, nullptr, 0);
+}
+
+bool
+flagsAreKnown(const char* tool, int argc, const char* const* argv,
+              std::span<const char* const> known)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (!startsWith(argv[i], "--"))
+            continue;
+        std::string name(argv[i] + 2);
+        name = name.substr(0, name.find('='));
+        bool found = false;
+        for (const char* flag : known)
+            found = found || name == flag;
+        if (!found) {
+            std::fprintf(stderr, "%s: unknown option --%s\n", tool,
+                         name.c_str());
+            return false;
+        }
+    }
+    return true;
 }
 
 } // namespace pim

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,8 +26,9 @@ class Options
     Options() = default;
 
     /**
-     * Parse argv. Unknown options are accepted (benches share a parser);
-     * positional arguments are collected in order.
+     * Parse argv. Unknown options are accepted (benches share a parser;
+     * tools that must reject them call flagsAreKnown); positional
+     * arguments are collected in order.
      */
     static Options parse(int argc, const char* const* argv);
 
@@ -73,6 +75,15 @@ class Options
 
 /** Read an integer environment variable, or @p fallback. */
 std::int64_t envInt(const char* name, std::int64_t fallback);
+
+/**
+ * True when every "--name" argument in @p argv is one of @p known.
+ * Otherwise prints "<tool>: unknown option --name" to stderr and
+ * returns false: a mistyped or retired flag would silently run with a
+ * default, i.e. a different run than the one asked for.
+ */
+bool flagsAreKnown(const char* tool, int argc, const char* const* argv,
+                   std::span<const char* const> known);
 
 } // namespace pim
 

@@ -11,7 +11,7 @@
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
-#include "sim/parallel_core.h"
+#include "sim/ref_source.h"
 #include "sim/system.h"
 #include "trace/trace_file.h"
 #include "verify/coherence_auditor.h"
@@ -36,16 +36,12 @@ struct PeState {
 };
 
 /**
- * The stress workload as a parallel-core RefSource. Every random
- * decision draws from ONE shared RNG in global simulation order, so
- * independent() is false and the core runs its serialized-epoch mode:
- * next() is called for the (clock, pe)-minimal PE only after selecting
- * it, reproducing the legacy drive loop bit for bit. Lock-rejected
- * operations are retried by the core without a new pull, exactly like
- * the legacy retry slots.
+ * The stress workload as a RefSource. Every random decision draws from
+ * ONE shared RNG in global simulation order: runRefSource calls next()
+ * for the (clock, pe)-minimal PE only after selecting it, and retries
+ * lock-rejected operations without a new pull.
  *
- * Two phases, switched on the global completion counter just as the
- * legacy loop switched between its main and drain loops: the main phase
+ * Two phases, switched on the global completion counter: the main phase
  * generates traffic until config.steps references completed; the drain
  * phase releases held locks (plain U, no RNG draws) and ends each PE's
  * stream, so every parked PE is woken before teardown. The run
@@ -73,7 +69,7 @@ class GlobalStressSource : public RefSource
     std::uint64_t fingerprint() const { return fingerprint_; }
 
     bool
-    next(PeId pe, ParOp* out) override
+    next(PeId pe, SourceOp* out) override
     {
         PeState& state = pes_[pe];
         out->area = Area::Heap;
@@ -140,7 +136,7 @@ class GlobalStressSource : public RefSource
     }
 
     void
-    complete(PeId pe, const ParOp& op, Word data) override
+    complete(PeId pe, const SourceOp& op, Word data) override
     {
         PeState& state = pes_[pe];
         if (op.op == MemOp::LR)
@@ -158,8 +154,6 @@ class GlobalStressSource : public RefSource
         }
         completed_ += 1;
     }
-
-    bool independent() const override { return false; }
 
     void onStall() override { watchdog_.reportStall(); }
 
@@ -320,15 +314,7 @@ runStress(const StressConfig& config)
                               lock_words, rec_base);
 
     try {
-        // Drive the run through the parallel core. The stress System is
-        // observed and the source shares one RNG, so this is always the
-        // serialized-epoch path — bit-identical for any parJobs, with
-        // fault sites firing at (per-operation) epoch boundaries.
-        ParallelCoreOptions core_options;
-        core_options.jobs = std::max<std::uint32_t>(1, config.parJobs);
-        const ParallelRunResult core =
-            runParallelCore(system, source, core_options);
-        result.coreSerialized = core.serialized;
+        runRefSource(system, source);
         result.completedRefs = source.completedRefs();
         result.fingerprint = source.fingerprint();
 

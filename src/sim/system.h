@@ -3,9 +3,10 @@
  * The multiprocessor system model: N PEs with private PIM caches and lock
  * directories on one common bus in front of shared memory.
  *
- * Drivers (the KL1 emulator, trace replay) issue memory operations per PE
- * through System::access. Each PE has a local clock; drivers are expected
- * to step the PE with the smallest clock so bus requests are served in
+ * Drivers (the KL1 emulator, trace replay, the synthetic-stream loop in
+ * sim/ref_source.h) issue memory operations per PE through
+ * System::access. Each PE has a local clock; drivers are expected to
+ * step the PE with the smallest clock so bus requests are served in
  * global time order — the paper's "cache simulators artificially
  * synchronize at each simulated bus request".
  *
@@ -133,61 +134,6 @@ class System : public UnlockListener
      * until parked(pe) is false, then retry the same operation.
      */
     Access access(PeId pe, MemOp op, Addr addr, Area area, Word wdata = 0);
-
-    /**
-     * True iff access(pe, op, addr, area) would, right now, complete as
-     * a private cache hit — no bus transaction, no shared-state change
-     * (PimCache::opIsPrivateHit after OptPolicy). The parallel core's
-     * epoch classifier.
-     */
-    bool
-    accessIsLocal(PeId pe, MemOp op, Addr addr, Area area) const
-    {
-        return caches_[pe]->opIsPrivateHit(config_.policy.apply(area, op),
-                                           addr);
-    }
-
-    /**
-     * Execute an access that accessIsLocal() classified as a private
-     * hit, on the parallel core's concurrent path: touches only @p pe's
-     * cache, @p pe's clock and the caller-supplied @p ref_shard (merged
-     * into refStats() at the run barrier) — never the run guard,
-     * observers, sinks or the global RefStats, so concurrent calls for
-     * distinct PEs are race-free by construction. Panics if the
-     * operation turns out not to be a private hit (the classifier and
-     * the epoch limit make that unreachable).
-     */
-    Access accessLocalHit(PeId pe, MemOp op, Addr addr, Area area,
-                          Word wdata, RefStats& ref_shard);
-
-    /**
-     * Snoop version of @p pe's cache (PimCache::snoopVersion): the
-     * parallel core's probe-staleness check.
-     */
-    std::uint64_t
-    cacheSnoopVersion(PeId pe) const
-    {
-        return caches_[pe]->snoopVersion();
-    }
-
-    // -- Attachment introspection (parallel core mode selection) ----------
-
-    /**
-     * True when any hook that must see every access in global order is
-     * attached (access observers, event sinks, a reference observer or
-     * a fault injector). The parallel core degrades to its serialized-
-     * epoch mode in that case so hook callbacks fire in exactly the
-     * sequential order (docs/ARCHITECTURE.md, "Threading model").
-     */
-    bool
-    observed() const
-    {
-        return !observers_.empty() || sink_ != nullptr ||
-               static_cast<bool>(refObserver_) || injector_ != nullptr;
-    }
-
-    /** The attached run guard (nullptr when none). */
-    RunGuard* runGuard() const { return guard_; }
 
     /** True while @p pe is busy-waiting on a remote lock. */
     bool parked(PeId pe) const { return parkedOn_[pe] != kNoAddr; }

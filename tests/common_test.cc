@@ -145,6 +145,19 @@ TEST(Options, SetOverrides)
     EXPECT_EQ(opts.getInt("a", 0), 4);
 }
 
+TEST(Options, FlagsAreKnown)
+{
+    const char* const known[] = {"pes", "smoke"};
+    const char* good[] = {"prog", "--pes", "8", "input", "--smoke"};
+    EXPECT_TRUE(flagsAreKnown("prog", 5, good, known));
+    const char* with_value[] = {"prog", "--pes=8", "--smoke"};
+    EXPECT_TRUE(flagsAreKnown("prog", 3, with_value, known));
+    const char* unknown[] = {"prog", "--pes=8", "--jobs=2"};
+    EXPECT_FALSE(flagsAreKnown("prog", 3, unknown, known));
+    const char* prefix[] = {"prog", "--pe=8"};
+    EXPECT_FALSE(flagsAreKnown("prog", 2, prefix, known));
+}
+
 TEST(Table, RendersAligned)
 {
     Table table("T");
