@@ -49,7 +49,6 @@ harnessFromOptions(const Options& opt)
     config.sets = static_cast<std::uint32_t>(opt.getInt("sets", 1));
     config.lockEntries =
         static_cast<std::uint32_t>(opt.getInt("lock-entries", 2));
-    config.snoopFilter = !opt.getBool("no-snoop-filter");
     config.clusterSize =
         static_cast<std::uint32_t>(opt.getInt("cluster-size", 0));
     config.hopCycles =
@@ -120,8 +119,8 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
 
 const char* const kKnownFlags[] = {
     "pes", "blocks", "block-words", "ways", "sets", "lock-entries",
-    "no-snoop-filter", "cluster-size", "hop-cycles", "mutate", "protocol",
-    "replacement", "replay", "fuzz", "seed", "traces", "len", "no-shrink",
+    "cluster-size", "hop-cycles", "mutate", "protocol", "replacement",
+    "replay", "fuzz", "seed", "traces", "len", "no-shrink",
     "depth", "max-states", "expect-divergence", "max-shrunk",
     "list-mutations", "list-protocols",
 };

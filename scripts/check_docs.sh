@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Documentation link checker (docs/TESTING.md): every relative markdown
 # link and every `src/...` / `bench/...` / `scripts/...` / `tests/...`
-# path mentioned in README.md and docs/*.md must exist in the tree, so
-# the docs cannot silently rot as files move.
+# path mentioned in README.md and docs/*.md must exist in the tree, and
+# every backticked `Class::member` must name a member that still
+# appears in the code, so the docs cannot silently rot as files move or
+# APIs are renamed and deleted.
 #
 #   scripts/check_docs.sh         # check README.md and docs/*.md
 #
@@ -13,6 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 fail=0
+code_dirs=(src bench tests examples perfbench)
 complain() {
     echo "check_docs: $1: stale reference: $2" >&2
     fail=1
@@ -54,6 +57,15 @@ check_file() {
         fi
     done < <(grep -oE '\b(src|bench|scripts|tests)/[A-Za-z0-9_./-]+' \
                   "${doc}" | sed -E 's/[.,;:]+$//' | sort -u)
+
+    # Backticked API names: `Class::member` (or `ns::Class::member`).
+    # The member must appear as a whole word somewhere in the code.
+    while IFS= read -r name; do
+        if ! grep -rqw -- "${name##*::}" "${code_dirs[@]}"; then
+            complain "${doc}" "API ${name}"
+        fi
+    done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+                  "${doc}" | sed -E 's/^`//' | sort -u)
 }
 
 for doc in README.md docs/*.md; do

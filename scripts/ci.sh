@@ -24,9 +24,9 @@ run_leg() {
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" ${CTEST_ARGS})
 }
 
-# Snoop-filter throughput smoke (docs/PERFORMANCE.md): checks the
-# filter-on/off exactness invariants and the BENCH_perf.json schema.
-# Ratios are not asserted — CI wall-clock is noise.
+# Simulator-throughput smoke (docs/PERFORMANCE.md): one row per PE
+# point, checked against the BENCH_perf.json schema. Wall-clock is not
+# asserted — CI wall-clock is noise.
 perf_smoke() {
     local dir="build-release"
     echo "=== perf smoke (${dir}) ==="
@@ -46,8 +46,8 @@ perfbench_smoke() {
 # Clustered-topology gate (docs/ARCHITECTURE.md): a deeper clustered
 # conformance fuzz than the ctest `cluster` label runs, plus the
 # 128-PE clustered perf smoke with its JSON schema check. Exercises
-# the inter-cluster directory, hop accounting and the exactness
-# invariants at a scale the unit tests keep short.
+# the inter-cluster directory, hop accounting and the residency-mask
+# walk at a scale the unit tests keep short.
 cluster_smoke() {
     local dir="build-release"
     echo "=== cluster smoke (${dir}) ==="

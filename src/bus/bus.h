@@ -201,8 +201,8 @@ class Bus
 
     /**
      * Attach one PE's cache and lock directory snoopers. Each PE may be
-     * attached at most once; the PE id doubles as the port's bit in the
-     * residency filter masks.
+     * attached at most once, in any order; the PE id indexes its port
+     * and doubles as its bit in the residency masks.
      */
     void attach(PeId pe, BusSnooper* cache, LockSnooper* locks);
 
@@ -212,6 +212,7 @@ class Bus
     /**
      * Attach a fault injector (nullptr to detach). The bus consults it at
      * its injection sites: DropSnoop, DupSnoop, CorruptWord, SpuriousInv.
+     * The snoop sites draw once per copy holder a fetch visits.
      */
     void setFaultInjector(FaultInjector* injector)
     {
@@ -322,16 +323,7 @@ class Bus
     /** Write a block to shared memory without bus involvement (init). */
     void writeMemoryBlock(Addr block_addr, const Word* data);
 
-    // -- Residency filter (docs/PERFORMANCE.md) ---------------------------
-
-    /**
-     * Enable / disable the snoop filter's *query* path (maintenance is
-     * always on, so the filter can be re-enabled mid-run). Disabled, the
-     * bus broadcasts every snoop to all ports — the pre-filter behavior
-     * pim_perf measures against and pim_conform fuzzes differentially.
-     */
-    void setSnoopFilterEnabled(bool enabled) { filterEnabled_ = enabled; }
-    bool snoopFilterEnabled() const { return filterEnabled_; }
+    // -- Residency masks (docs/PERFORMANCE.md) ----------------------------
 
     /** @p pe's cache gained a valid copy of @p block_addr. */
     void
@@ -373,7 +365,6 @@ class Bus
 
   private:
     struct Port {
-        PeId pe = 0;
         BusSnooper* cache = nullptr;
         LockSnooper* locks = nullptr;
     };
@@ -407,32 +398,11 @@ class Bus
     /** Hold @p route's resources until @p until. */
     void release(const Route& route, Cycles until);
 
-    /** LH check across all directories except the requester's. */
+    /** LH check across the block's lock holders except the requester. */
     bool lockCheck(PeId requester, Addr block_addr, Cycles when);
 
     /** Report one transaction to the sink (no-op when none attached). */
     void emitTxn(const BusTxnEvent& event);
-
-    /**
-     * True when snoops may be directed by the residency masks. Requires
-     * the filter to be exact and no fault injector: the injector draws
-     * one RNG decision per *visited* port, so a filtered walk would
-     * shift the fault sequence and break seed replay.
-     */
-    bool
-    filterActive() const
-    {
-        return filterEnabled_ && residency_.exact() && injector_ == nullptr;
-    }
-
-    /** The port attached for @p pe (never null on the filtered path). */
-    const Port*
-    portOf(PeId pe) const
-    {
-        return pe < portIndexByPe_.size() && portIndexByPe_[pe] >= 0
-                   ? &ports_[static_cast<std::size_t>(portIndexByPe_[pe])]
-                   : nullptr;
-    }
 
     /** Block number of @p block_addr (purge-mark bitmap index). */
     std::size_t
@@ -447,12 +417,15 @@ class Bus
 
     BusTiming timing_;
     PagedStore& memory_;
+    /**
+     * Indexed by PE id. Every snoop walks the residency masks, so only
+     * ports whose bit is set are ever visited, and a mask bit is set
+     * only by an attached PE's cache or lock directory.
+     */
     std::vector<Port> ports_;
-    std::vector<std::int32_t> portIndexByPe_; ///< PE id -> ports_ index.
     ResidencyFilter residency_;
     ClusterTopology clusters_;
     InterClusterDirectory directory_;
-    bool filterEnabled_ = true;
     UnlockListener* unlockListener_ = nullptr;
     FaultInjector* injector_ = nullptr;
     EventSink* sink_ = nullptr;

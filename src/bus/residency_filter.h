@@ -7,17 +7,19 @@
  * copy and (b) the set of PEs whose lock directory has an entry (or an
  * injected ghost) on a word of the block. Both sets are maintained
  * eagerly by the components that own the state — PimCache on every
- * INV<->valid transition, LockDirectory on every acquire/release — so
- * the bus can direct snoops, invalidations and lock checks to exactly
- * the PEs that can respond instead of broadcasting to all P ports.
+ * INV<->valid transition, LockDirectory on every acquire/release — and
+ * the bus directs every snoop, invalidation and lock check to exactly
+ * the PEs they name. The paper's bus is a broadcast medium, but each
+ * transaction costs the same cycles however many caches snoop, so
+ * visiting only the holders is all a simulator needs.
  *
- * The filter is *exact*, not approximate: a PE is in a block's copy set
+ * The masks are *exact*, not approximate: a PE is in a block's copy set
  * if and only if its cache holds the block, so skipping the other PEs
  * is observationally identical to snooping them (an absent copy neither
  * supplies data nor changes state, and an empty lock directory never
- * answers LH). Protocol outcomes, statistics and timing are bit-for-bit
- * unchanged — which the conformance engine (src/model) verifies by
- * fuzzing with the filter on and off.
+ * answers LH). Invariant 6 (src/verify/invariants.h) checks both masks
+ * against the caches and lock directories on every audited access and
+ * every conformance step.
  *
  * Masks are multi-word PE bitsets: an entry is ceil(P/64) consecutive
  * 64-bit words, so the filter is exact at *any* PE count — there is no
@@ -101,19 +103,6 @@ class ResidencyFilter
 
     /** Mask words per block entry (1 for machines of up to 64 PEs). */
     std::uint32_t maskWords() const { return maskWords_; }
-
-    /**
-     * True while the filtered walk's ascending-PE order matches the
-     * bus's port order. The bus consults masks only while exact; mask
-     * *contents* are exact regardless.
-     */
-    bool exact() const { return exact_; }
-
-    /**
-     * Permanently disable mask queries (e.g. the bus detected a port
-     * layout the masks cannot reproduce faithfully).
-     */
-    void markInexact() { exact_ = false; }
 
     /** @p pe's cache now holds a valid copy of @p block. */
     void
@@ -215,8 +204,7 @@ class ResidencyFilter
      * Call @p fn(PeId) for every copy holder of @p block except
      * @p skip, in ascending PE order. The entry is copied out first, so
      * @p fn may change residency (an FI snoop drops the snooped copy)
-     * without perturbing the walk — exactly the snapshot semantics of
-     * the broadcast scan it replaces.
+     * without perturbing the walk.
      */
     template <typename Fn>
     void
@@ -387,7 +375,6 @@ class ResidencyFilter
         store.pages = std::move(wider.pages);
     }
 
-    bool exact_ = true;
     std::uint32_t blockWords_ = 1;
     std::uint32_t maskWords_ = 1; ///< ceil(maxPe+1 / 64), grown by registerPe.
     int shift_ = 0; ///< log2(blockWords_) when a power of two, else -1.

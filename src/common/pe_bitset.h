@@ -6,8 +6,7 @@
  * reasons about "which PEs" — the residency filter's per-block copy and
  * lock masks, test ground truth, and introspection. One 64-bit word
  * covers the paper's whole design space; the multi-word form is what
- * lets the exact snoop filter scale past 64 PEs without degrading to
- * broadcast.
+ * keeps the masks every snoop walks exact past 64 PEs.
  *
  * Iteration is the same ctz walk the bus uses on raw mask words:
  * ascending PE order, one count-trailing-zeros per set bit, so walking

@@ -42,32 +42,22 @@ extractPerf(const JsonValue& doc, std::map<std::string, LedgerMetric>* out)
     if (rows == nullptr || !rows->isArray())
         return;
     for (const JsonValue& row : rows->asArray()) {
-        const JsonValue* mode = row.find("mode");
         const JsonValue* pes = row.find("pes_point");
-        if (mode == nullptr || pes == nullptr || !mode->isString() ||
-            !pes->isNumber()) {
+        if (pes == nullptr || !pes->isNumber())
             continue;
-        }
-        const std::string pe_tag =
-            "p" +
+        const std::string prefix =
+            "perf.p" +
             std::to_string(static_cast<std::uint64_t>(pes->asNumber()));
-        if (mode->asString() == "filtered") {
-            const std::string prefix = "perf." + pe_tag;
-            const JsonValue* v = row.find("refs_per_sec");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".refs_per_sec", v->asNumber(),
-                          false);
-            }
-            v = row.find("cycles_per_ref");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".cycles_per_ref", v->asNumber(),
-                          true);
-            }
-            v = row.find("bus_transactions");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".bus_transactions",
-                          v->asNumber(), true);
-            }
+        const JsonValue* v = row.find("refs_per_sec");
+        if (v != nullptr && v->isNumber())
+            putMetric(out, prefix + ".refs_per_sec", v->asNumber(), false);
+        v = row.find("cycles_per_ref");
+        if (v != nullptr && v->isNumber())
+            putMetric(out, prefix + ".cycles_per_ref", v->asNumber(), true);
+        v = row.find("bus_transactions");
+        if (v != nullptr && v->isNumber()) {
+            putMetric(out, prefix + ".bus_transactions", v->asNumber(),
+                      true);
         }
     }
 }

@@ -145,6 +145,36 @@ checkBlockInvariants(const System& system, Addr block_base,
             }
         }
     }
+
+    // Invariant 6: every snoop walks the residency masks, so they must
+    // name exactly the copy holders and the lock-resident directories
+    // (entries and injected ghosts).
+    const ResidencyFilter& residency = system.bus().residency();
+    for (PeId pe = 0; pe < system.numPes(); ++pe) {
+        const auto& dir = system.cache(pe).lockDirectory();
+        bool lock_resident = false;
+        for (const auto& [addr, state] : dir.entries()) {
+            (void)state;
+            lock_resident |= blockBaseOf(system, addr) == block_base;
+        }
+        for (const Addr ghost : dir.ghostWords())
+            lock_resident |= blockBaseOf(system, ghost) == block_base;
+        const bool holds =
+            system.cache(pe).stateOf(block_base) != CacheState::INV;
+        const std::uint64_t bit = 1ull << (pe & 63);
+        const bool copy_ok =
+            ((residency.copyWord(block_base, pe >> 6) & bit) != 0) == holds;
+        const bool lock_ok =
+            ((residency.lockWord(block_base, pe >> 6) & bit) != 0) ==
+            lock_resident;
+        if (!copy_ok || !lock_ok) {
+            throw PIM_SIM_FAULT(SimFaultKind::Protocol, context,
+                                ": the bus ", copy_ok ? "lock" : "copy",
+                                " mask disagrees with pe", pe, "'s ",
+                                copy_ok ? "lock directory" : "cache", "; ",
+                                describeBlockState(system, block_base));
+        }
+    }
 }
 
 Cycles

@@ -19,6 +19,11 @@
  *  5. While a PE holds a lock on any word of the block, no *other*
  *     cache holds a valid copy: lock acquisition gains exclusiveness
  *     (I/FI + LK) and the LH response inhibits remote fetches until UL.
+ *  6. The bus's residency masks are exact: the copy mask is the set of
+ *     PEs whose cache state is not INV, and the lock mask the set whose
+ *     lock directory has an entry or ghost on a word of the block.
+ *     Every snoop walks these masks, so a missing bit hides a copy from
+ *     the bus and an extra bit visits a PE with nothing to answer.
  *
  * Per-transaction bus-accounting invariant: every BusStats delta must
  * decompose into whole transactions, each charged exactly its paper
@@ -46,7 +51,7 @@ class System;
 std::string describeBlockState(const System& system, Addr block_base);
 
 /**
- * Check invariants 1-5 for the block containing @p block_base.
+ * Check invariants 1-6 for the block containing @p block_base.
  * @param context Prefix for the violation message (who/what/when).
  * @throws SimFault (Protocol) on the first violation.
  */

@@ -10,9 +10,11 @@
  * ground truth (which PEs' caches actually hold the block) and the lock
  * mask equals which PEs' lock directories hold an entry on the block.
  *
- * The final test is the on/off differential: the same reference stream
- * driven through a filtered and an unfiltered System must produce
- * identical read values, protocol hashes and bus statistics.
+ * The final tests are a shadow-memory oracle: a mixed reference stream
+ * through one System, where every read must return the last value
+ * written to its word and the touched block's masks must stay exact
+ * after every step. The masks are the bus's only snoop path, so a lost
+ * or phantom bit would show up as a stale read or a mask mismatch.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "bus/residency_filter.h"
 #include "common/rng.h"
 #include "sim/system.h"
+#include "trace/ref.h"
 
 namespace pim {
 namespace {
@@ -47,7 +50,6 @@ TEST(ResidencyFilterUnit, CopyMaskTracksAddRemove)
     // Removing an absent copy is a no-op, not an error.
     filter.removeCopy(5, 8);
     EXPECT_EQ(filter.copyMask(8), 1ull << 3);
-    EXPECT_TRUE(filter.exact());
 }
 
 TEST(ResidencyFilterUnit, LockMaskIsIdempotent)
@@ -83,9 +85,6 @@ TEST(ResidencyFilterUnit, MultiWordMasksAreExactAcrossWordBoundaries)
     EXPECT_EQ(filter.maskWords(), 2u);
     filter.registerPe(128);
     EXPECT_EQ(filter.maskWords(), 3u);
-    // Registering wide PEs never degrades exactness — the multi-word
-    // masks cover them (the old single-word design went inexact here).
-    EXPECT_TRUE(filter.exact());
 
     PeBitset expect(3);
     for (const PeId pe : {63u, 64u, 65u, 127u, 128u}) {
@@ -368,36 +367,37 @@ TEST(ResidencyMasks, WideMachineMasksStayExact)
 }
 
 // ---------------------------------------------------------------------
-// On/off differential: filtering must be observationally invisible.
+// Shadow-memory oracle: reads return the last write, masks stay exact.
 // ---------------------------------------------------------------------
 
-TEST(ResidencyDifferential, FilterOnAndOffAreBitIdentical)
+/**
+ * Drive @p steps references over @p pes PEs through one System: plain
+ * R/W over [0, 256), single-use DW records from @p record_base consumed
+ * by ER or RP, and LR then UW or U on a lock word in a block private to
+ * each PE from @p lock_base (LH inhibits a fetch when *any* word of the
+ * block is locked elsewhere, so shared blocks would park PEs), which
+ * keeps the stream retry-free. After every step a read must equal the
+ * flat shadow of the last value written to its word, and the touched
+ * block's copy and lock masks must match the caches and directories.
+ */
+void
+expectShadowOracle(std::uint32_t pes, int steps, std::uint64_t seed,
+                   Addr lock_base, Addr record_base)
 {
-    SystemConfig on_config = tinyConfig(4);
-    SystemConfig off_config = on_config;
-    off_config.snoopFilter = false;
-    System filtered(on_config);
-    System broadcast(off_config);
-    ASSERT_TRUE(filtered.bus().snoopFilterEnabled());
-    ASSERT_FALSE(broadcast.bus().snoopFilterEnabled());
-
-    // Drive both systems through the same mixed stream: reads, writes,
-    // optimized commands over a record area, and non-blocking lock
-    // traffic. Each PE's lock word sits in its own block (LH inhibits a
-    // fetch when *any* word of the block is locked elsewhere, so shared
-    // blocks would park PEs), which keeps the stream retry-free.
-    Rng rng(2026);
+    System system(tinyConfig(pes));
+    std::vector<Word> shadow(system.config().memoryWords, 0);
+    Rng rng(seed);
     std::vector<Addr> records;
-    std::vector<bool> holds(4, false);
-    Addr next_record = 512;
-    for (int step = 0; step < 3000; ++step) {
-        const PeId pe = static_cast<PeId>(rng.below(4));
+    std::vector<bool> holds(pes, false);
+    Addr next_record = record_base;
+    for (int step = 0; step < steps; ++step) {
+        const PeId pe = static_cast<PeId>(rng.below(pes));
         const std::uint64_t roll = rng.below(100);
         MemOp op;
         Addr addr;
         Word wdata = 0;
         if (roll < 20) {
-            addr = 448 + pe * 4;
+            addr = lock_base + pe * 4;
             if (holds[pe]) {
                 op = rng.chance(1, 2) ? MemOp::U : MemOp::UW;
                 if (op == MemOp::UW)
@@ -425,95 +425,34 @@ TEST(ResidencyDifferential, FilterOnAndOffAreBitIdentical)
             if (op == MemOp::W)
                 wdata = rng.next();
         }
-        const System::Access a =
-            filtered.access(pe, op, addr, Area::Heap, wdata);
-        const System::Access b =
-            broadcast.access(pe, op, addr, Area::Heap, wdata);
-        ASSERT_FALSE(a.lockWait) << "step " << step;
-        ASSERT_FALSE(b.lockWait) << "step " << step;
-        ASSERT_EQ(a.data, b.data) << "step " << step;
+        const System::Access got =
+            system.access(pe, op, addr, Area::Heap, wdata);
+        ASSERT_FALSE(got.lockWait) << "step " << step;
+        if (memOpReads(op)) {
+            ASSERT_EQ(got.data, shadow[addr])
+                << "step " << step << ": pe" << pe << " " << memOpName(op)
+                << " at " << addr;
+        }
+        if (memOpWrites(op))
+            shadow[addr] = wdata;
+        expectExactMasks(system, addr, addr + 1);
+        if (::testing::Test::HasFailure())
+            return;
     }
-
-    EXPECT_EQ(filtered.protocolHash(0, 4096),
-              broadcast.protocolHash(0, 4096));
-    for (int pattern = 0; pattern < kNumBusPatterns; ++pattern) {
-        EXPECT_EQ(filtered.bus().stats().transByPattern[pattern],
-                  broadcast.bus().stats().transByPattern[pattern]);
-        EXPECT_EQ(filtered.bus().stats().cyclesByPattern[pattern],
-                  broadcast.bus().stats().cyclesByPattern[pattern]);
-    }
-    expectExactMasks(filtered, 0, 1024);
+    expectExactMasks(system, 0, next_record);
 }
 
-TEST(ResidencyDifferential, WideMachineFilterOnAndOffAreBitIdentical)
+TEST(ResidencyOracle, MixedStreamMatchesShadowMemory)
 {
-    SystemConfig on_config = tinyConfig(128);
-    SystemConfig off_config = on_config;
-    off_config.snoopFilter = false;
-    System filtered(on_config);
-    System broadcast(off_config);
+    expectShadowOracle(4, 3000, 2026, /*lock_base=*/448,
+                       /*record_base=*/512);
+}
 
-    // Same structure as the 4-PE differential, with the lock words and
-    // record area moved clear of each other for 128 PEs (each PE's lock
-    // word in its own block keeps the stream retry-free).
-    Rng rng(128128);
-    std::vector<Addr> records;
-    std::vector<bool> holds(128, false);
-    Addr next_record = 8192;
-    for (int step = 0; step < 2000; ++step) {
-        const PeId pe = static_cast<PeId>(rng.below(128));
-        const std::uint64_t roll = rng.below(100);
-        MemOp op;
-        Addr addr;
-        Word wdata = 0;
-        if (roll < 20) {
-            addr = 4096 + pe * 4;
-            if (holds[pe]) {
-                op = rng.chance(1, 2) ? MemOp::U : MemOp::UW;
-                if (op == MemOp::UW)
-                    wdata = rng.next();
-                holds[pe] = false;
-            } else {
-                op = MemOp::LR;
-                holds[pe] = true;
-            }
-        } else if (roll < 30) {
-            if (!records.empty() && rng.chance(1, 2)) {
-                addr = records.back();
-                records.pop_back();
-                op = rng.chance(1, 2) ? MemOp::ER : MemOp::RP;
-            } else {
-                op = MemOp::DW;
-                addr = next_record;
-                next_record += 4;
-                wdata = rng.next();
-                records.push_back(addr);
-            }
-        } else {
-            op = roll < 60 ? MemOp::W : MemOp::R;
-            addr = rng.below(256);
-            if (op == MemOp::W)
-                wdata = rng.next();
-        }
-        const System::Access a =
-            filtered.access(pe, op, addr, Area::Heap, wdata);
-        const System::Access b =
-            broadcast.access(pe, op, addr, Area::Heap, wdata);
-        ASSERT_FALSE(a.lockWait) << "step " << step;
-        ASSERT_FALSE(b.lockWait) << "step " << step;
-        ASSERT_EQ(a.data, b.data) << "step " << step;
-    }
-
-    EXPECT_EQ(filtered.protocolHash(0, 16384),
-              broadcast.protocolHash(0, 16384));
-    for (int pattern = 0; pattern < kNumBusPatterns; ++pattern) {
-        EXPECT_EQ(filtered.bus().stats().transByPattern[pattern],
-                  broadcast.bus().stats().transByPattern[pattern]);
-        EXPECT_EQ(filtered.bus().stats().cyclesByPattern[pattern],
-                  broadcast.bus().stats().cyclesByPattern[pattern]);
-    }
-    expectExactMasks(filtered, 0, 1024);
-    expectExactMasks(filtered, 4096, 4608);
+TEST(ResidencyOracle, WideMachineMixedStreamMatchesShadowMemory)
+{
+    // Lock words and records moved clear of each other for 128 PEs.
+    expectShadowOracle(128, 2000, 128128, /*lock_base=*/4096,
+                       /*record_base=*/8192);
 }
 
 } // namespace

@@ -182,6 +182,55 @@ TEST_F(Audited, BitFlipOnFillIsCaughtOnRead)
     }
 }
 
+TEST_F(Audited, InexactResidencyMaskIsCaught)
+{
+    // Every snoop walks the residency masks, so invariant 6 checks them
+    // on every audited access. pe0 and pe1 share block 100; a hit on it
+    // changes nothing, so only a corrupted mask can make it fail.
+    op(0, MemOp::W, 100, 7);
+    op(1, MemOp::R, 100);
+    EXPECT_NO_THROW(op(0, MemOp::R, 100));
+
+    // A real holder's bit cleared: later snoops would skip pe1's copy.
+    sys_.bus().noteBlockAbsent(1, 100);
+    try {
+        op(0, MemOp::R, 100);
+        FAIL() << "missing copy-mask bit not detected";
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Protocol) << fault.what();
+    }
+    sys_.bus().noteBlockPresent(1, 100);
+    EXPECT_NO_THROW(op(0, MemOp::R, 100));
+
+    // A phantom bit for pe2, which holds no copy.
+    sys_.bus().noteBlockPresent(2, 100);
+    try {
+        op(0, MemOp::R, 100);
+        FAIL() << "phantom copy-mask bit not detected";
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Protocol) << fault.what();
+    }
+}
+
+TEST_F(Audited, SnoopFaultsDrawOnlyAtCopyHolders)
+{
+    // pe2 holds block 100 dirty; pe1 holds nothing. pe0's fetch visits
+    // only the copy holder, so drop_snoop gets exactly one opportunity,
+    // and losing that snoop hides the dirty copy from the fetch.
+    op(2, MemOp::W, 100, 7);
+    FaultInjector injector(FaultPlan::parse("drop_snoop:p=1"), 1);
+    sys_.setFaultInjector(&injector);
+    try {
+        op(0, MemOp::R, 100);
+        FAIL() << "dropped snoop not detected";
+    } catch (const SimFault& fault) {
+        EXPECT_TRUE(fault.kind() == SimFaultKind::Protocol ||
+                    fault.kind() == SimFaultKind::Corruption)
+            << fault.what();
+    }
+    EXPECT_EQ(injector.stats(FaultSite::DropSnoop).opportunities, 1u);
+}
+
 // ------------------------------------------------------ the watchdog --
 
 TEST_F(Audited, CircularWaitDeadlockIsDetected)
