@@ -32,7 +32,8 @@ run(int argc, const char* const* argv)
     for (const BenchProgram& bench : allBenchmarks()) {
         for (const bool illinois : {false, true}) {
             Kl1Config config = paperConfig(ctx.pes);
-            config.cache.copybackOnShare = illinois;
+            if (illinois)
+                config.cache.protocol = ProtocolKind::MESI;
             const BenchResult r = runBenchmark(bench, ctx.scale, config);
             table.addRow({bench.name, illinois ? "Illinois" : "PIM",
                           fmtEng(static_cast<double>(r.bus.totalCycles),
@@ -64,7 +65,8 @@ run(int argc, const char* const* argv)
         SystemConfig config;
         config.numPes = ctx.pes;
         config.cache.geometry = {4, 4, 256};
-        config.cache.copybackOnShare = illinois;
+        if (illinois)
+            config.cache.protocol = ProtocolKind::MESI;
         config.memoryWords = 1 << 20;
         System sys(config);
         TraceReplay(sys, trace).run();

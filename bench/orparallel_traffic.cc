@@ -49,7 +49,8 @@ run(int argc, const char* const* argv)
         SystemConfig config;
         config.numPes = ctx.pes;
         config.cache.geometry = {4, 4, 256};
-        config.cache.copybackOnShare = variant.illinois;
+        if (variant.illinois)
+            config.cache.protocol = ProtocolKind::MESI;
         config.cache.writeThrough = variant.write_through;
         config.policy = variant.policy;
         config.memoryWords = 1ull << 26;

@@ -46,8 +46,6 @@ usage()
         "                      missing; default: no files, stdout only)\n"
         "  --scale=N           override every kl1 task's workload scale\n"
         "  --list              print the expanded grid and exit\n"
-        "  --perf-inline       embed the perf block in SWEEP.json (forfeits\n"
-        "                      cross---jobs byte-identity)\n"
         "  --timeout=SECS      per-task wall-clock budget; an overrunning\n"
         "                      point fails with Timeout instead of wedging\n"
         "                      its worker (default: none)\n"
@@ -60,16 +58,12 @@ usage()
         "                      by config hash) and run only the rest\n"
         "  --max-tasks=K       stop after K tasks this invocation,\n"
         "                      leaving the checkpoint for --resume\n"
-        "                      (default: 0 = run everything)\n"
-        "  --checkpoint-every=N  completed tasks between checkpoint\n"
-        "                      writes when --out is set (default: 1;\n"
-        "                      0 disables periodic checkpoints)\n");
+        "                      (default: 0 = run everything)\n");
 }
 
 const char* const kKnownFlags[] = {
-    "spec", "jobs", "out", "scale", "list", "perf-inline", "timeout",
-    "retries", "retry-base-ms", "resume", "max-tasks",
-    "checkpoint-every", "help",
+    "spec", "jobs", "out", "scale", "list", "timeout",
+    "retries", "retry-base-ms", "resume", "max-tasks", "help",
 };
 
 SweepSpec
@@ -108,7 +102,6 @@ main(int argc, char** argv)
         options.outDir = opts.getString("out", "");
         options.scale =
             static_cast<std::uint32_t>(opts.getInt("scale", 0));
-        options.perfInline = opts.getBool("perf-inline");
         options.timeoutSeconds = opts.getDouble("timeout", 0);
         options.retry.retries =
             static_cast<std::uint32_t>(opts.getInt("retries", 2));
@@ -117,8 +110,6 @@ main(int argc, char** argv)
         options.resume = opts.getBool("resume");
         options.maxTasks =
             static_cast<std::size_t>(opts.getInt("max-tasks", 0));
-        options.checkpointEvery =
-            static_cast<std::uint32_t>(opts.getInt("checkpoint-every", 1));
         if (options.resume && options.outDir.empty()) {
             std::fprintf(stderr,
                          "pim_sweep: --resume needs --out=DIR (the "

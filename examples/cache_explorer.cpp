@@ -76,7 +76,9 @@ main(int argc, char** argv)
     config.numPes = pes;
     config.cache.geometry =
         CacheGeometry::forCapacity(capacity, block, ways);
-    config.cache.copybackOnShare = opts.getBool("illinois");
+    const bool illinois = opts.getBool("illinois");
+    if (illinois)
+        config.cache.protocol = ProtocolKind::MESI;
     // Size the backing store to cover every address in the trace.
     Addr max_addr = 1 << 20;
     for (const MemRef& ref : trace)
@@ -94,8 +96,7 @@ main(int argc, char** argv)
                 "blocks (%s)\n\n",
                 trace.size(), pes,
                 static_cast<unsigned long long>(capacity), ways, block,
-                config.cache.copybackOnShare ? "Illinois baseline"
-                                             : "PIM protocol");
+                illinois ? "Illinois baseline" : "PIM protocol");
 
     Table summary("summary");
     summary.setHeader({"metric", "value"});

@@ -95,7 +95,8 @@ main(int argc, char** argv)
         opts.getInt("capacity", 4096),
         static_cast<std::uint32_t>(opts.getInt("block", 4)),
         static_cast<std::uint32_t>(opts.getInt("ways", 4)));
-    config.cache.copybackOnShare = opts.getBool("illinois");
+    if (opts.getBool("illinois"))
+        config.cache.protocol = ProtocolKind::MESI;
     config.enableGc = opts.getBool("gc");
     config.layout.heapWordsPerPe =
         static_cast<std::uint64_t>(opts.getInt("heap", 1 << 22));

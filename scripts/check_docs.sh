@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Documentation link checker (docs/TESTING.md): every relative markdown
 # link and every `src/...` / `bench/...` / `scripts/...` / `tests/...`
-# path mentioned in README.md and docs/*.md must exist in the tree, and
+# path mentioned in README.md and docs/*.md must exist in the tree,
 # every backticked `Class::member` must name a member that still
-# appears in the code, so the docs cannot silently rot as files move or
-# APIs are renamed and deleted.
+# appears in the code, and every backticked bare `CamelCase` type name
+# must still appear in the code, so the docs cannot silently rot as
+# files move or APIs are renamed and deleted.
 #
 #   scripts/check_docs.sh         # check README.md and docs/*.md
 #
@@ -66,6 +67,15 @@ check_file() {
         fi
     done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
                   "${doc}" | sed -E 's/^`//' | sort -u)
+
+    # Backticked bare type names: `CamelCase`, the whole code span. The
+    # name must appear as a whole word somewhere in the code.
+    while IFS= read -r name; do
+        if ! grep -rqw -- "${name}" "${code_dirs[@]}"; then
+            complain "${doc}" "type ${name}"
+        fi
+    done < <(grep -oE '`[A-Z][a-z0-9]+([A-Z][A-Za-z0-9]*)+`' "${doc}" \
+                  | tr -d '`' | sort -u)
 }
 
 for doc in README.md docs/*.md; do

@@ -1,7 +1,5 @@
 #include "bus/bus.h"
 
-#include <algorithm>
-
 #include "common/xassert.h"
 #include "obs/event_sink.h"
 
@@ -11,14 +9,13 @@ Bus::Bus(const BusTiming& timing, PagedStore& memory,
          const ClusterConfig& cluster)
     : timing_(timing), memory_(memory), clusters_(cluster)
 {
+    PIM_ASSERT(timing_.blockWords != 0 &&
+                   (timing_.blockWords & (timing_.blockWords - 1)) == 0,
+               "bus blockWords ", timing_.blockWords,
+               " is not a power of two");
     residency_.setBlockWords(timing_.blockWords);
-    directory_.configure(cluster, timing_.blockWords);
-    if (timing_.blockWords != 0 &&
-        (timing_.blockWords & (timing_.blockWords - 1)) == 0) {
-        blockShift_ = 0;
-        while ((1u << blockShift_) != timing_.blockWords)
-            ++blockShift_;
-    }
+    while ((1u << blockShift_) != timing_.blockWords)
+        ++blockShift_;
 }
 
 void
@@ -44,15 +41,22 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
               bool checks_locks) const
 {
     Route route;
-    if (!clusters_.enabled())
-        return route;
     route.local = clusters_.clusterOf(requester);
+    // A remote cluster is routed while any of its PEs holds a copy or a
+    // lock entry: the inter-cluster directory's sets, read off the
+    // exact per-PE masks. The single bus has no remote cluster.
+    const std::uint32_t size = clusters_.config().clusterSize;
     std::uint64_t remote = 0;
-    if (snoops_copies)
-        remote |= directory_.copyClusters(block_addr);
-    if (checks_locks)
-        remote |= directory_.lockClusters(block_addr);
-    remote &= ~(1ull << route.local);
+    for (std::uint32_t cluster = 0; cluster < clusters_.numClusters();
+         ++cluster) {
+        const PeId lo = cluster * size;
+        if (cluster != route.local &&
+            ((snoops_copies &&
+              residency_.anyCopyInRange(block_addr, lo, lo + size)) ||
+             (checks_locks &&
+              residency_.anyLockInRange(block_addr, lo, lo + size))))
+            remote |= 1ull << cluster;
+    }
     route.remote = remote;
     // One round trip covers every remote cluster consulted: the
     // crossbar multicasts the command and the routed buses snoop in
@@ -70,20 +74,13 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
 Cycles
 Bus::arbitrate(const Route& route, Cycles when) const
 {
-    if (!clusters_.enabled())
-        return std::max(when, freeAt_);
     return clusters_.arbitrate(route.local, route.remote, when);
 }
 
 void
 Bus::release(const Route& route, Cycles until)
 {
-    if (clusters_.enabled())
-        clusters_.occupy(route.local, route.remote, until);
-    // freeAt_ remains the whole-system high-water mark; on the single
-    // bus it is the one shared resource itself.
-    if (until > freeAt_)
-        freeAt_ = until;
+    clusters_.occupy(route.local, route.remote, until);
 }
 
 bool
@@ -400,11 +397,9 @@ Bus::unlockBroadcast(PeId requester, Addr word_addr, Cycles when, Area area)
     // UL floods every cluster: parked PEs anywhere may be waiting on the
     // word. One-way hop cost — no replies are collected.
     Route route;
-    if (clusters_.enabled()) {
-        route.local = clusters_.clusterOf(requester);
-        route.remote = clusters_.allRemote(route.local);
-        route.hop = clusters_.hopCycles();
-    }
+    route.local = clusters_.clusterOf(requester);
+    route.remote = clusters_.allRemote(route.local);
+    route.hop = route.remote != 0 ? clusters_.hopCycles() : 0;
     const Cycles start = arbitrate(route, when);
     stats_.cmdCounts[static_cast<int>(BusCmd::UL)] += 1;
     const Cycles cost = timing_.unlockCycles();

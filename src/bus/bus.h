@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bus/cluster_bus.h"
-#include "bus/intercluster_directory.h"
 #include "bus/residency_filter.h"
 #include "bus/timing.h"
 #include "common/types.h"
@@ -48,9 +47,10 @@ class BusSnooper
      * F or FI observed for @p block_addr at bus time @p when. If this
      * cache holds the block it must copy it into @p data_out, then
      * downgrade to shared (F) or invalidate (FI) its copy, and report
-     * whether the copy was dirty. Dirty data is *not* copied back to
-     * shared memory here — that is the point of the SM state (the
-     * Illinois-style baseline overrides this).
+     * whether the copy was dirty. Under the PIM protocol dirty data is
+     * *not* copied back to shared memory here — that is the point of
+     * the SM state; MSI and MESI (the Illinois-style baseline) copy it
+     * back.
      */
     virtual FetchReply snoopFetch(Addr block_addr, bool invalidate,
                                   Word* data_out, Cycles when) = 0;
@@ -183,15 +183,18 @@ struct UpdateResult {
  * The common bus shared by all PEs and the memory modules.
  *
  * Single-owner resource: a transaction requested at time T starts at
- * max(T, freeAt) and holds the bus for its full pattern cost (paper
- * assumption 3: the bus is not freed until the operation completes).
+ * max(T, the bus's free time) and holds the bus for its full pattern
+ * cost (paper assumption 3: the bus is not freed until the operation
+ * completes).
  *
  * On a clustered topology (ClusterConfig.clusterSize > 0 with 2+
  * clusters) the single resource splits into per-cluster buses joined by
  * a contention-free crossbar (ClusterTopology); a transaction reserves
- * only the buses on its route — directed by the InterClusterDirectory —
- * and pays the route's hop cycles on top of its pattern cost. Snoop
- * semantics are identical on every topology.
+ * only the buses on its route — the remote clusters whose PEs hold a
+ * copy or lock of the block, read off the residency masks — and pays
+ * the route's hop cycles on top of its pattern cost. The single bus is
+ * the one-cluster case of the same path. Snoop semantics are identical
+ * on every topology.
  */
 class Bus
 {
@@ -330,7 +333,6 @@ class Bus
     noteBlockPresent(PeId pe, Addr block_addr)
     {
         residency_.addCopy(pe, block_addr);
-        directory_.noteCopy(pe, block_addr, true, residency_);
     }
 
     /** @p pe's cache dropped its copy of @p block_addr. */
@@ -338,7 +340,6 @@ class Bus
     noteBlockAbsent(PeId pe, Addr block_addr)
     {
         residency_.removeCopy(pe, block_addr);
-        directory_.noteCopy(pe, block_addr, false, residency_);
     }
 
     /** @p pe's lock directory residency in @p block_addr changed. */
@@ -346,13 +347,9 @@ class Bus
     noteLockResidency(PeId pe, Addr block_addr, bool resident)
     {
         residency_.setLockResident(pe, block_addr, resident);
-        directory_.noteLock(pe, block_addr, resident, residency_);
     }
 
     const ResidencyFilter& residency() const { return residency_; }
-
-    /** The per-block cluster-residency sets (clustered topology). */
-    const InterClusterDirectory& directory() const { return directory_; }
 
     /** The cluster partition and per-cluster bus occupancy. */
     const ClusterTopology& clusters() const { return clusters_; }
@@ -360,7 +357,6 @@ class Bus
     const BusTiming& timing() const { return timing_; }
     BusStats& stats() { return stats_; }
     const BusStats& stats() const { return stats_; }
-    Cycles freeAt() const { return freeAt_; }
     PagedStore& memory() { return memory_; }
 
   private:
@@ -371,8 +367,7 @@ class Bus
 
     /**
      * The cluster resources a transaction reserves and the hop cycles
-     * it pays. Trivial (hop 0, nothing reserved beyond the legacy
-     * freeAt_) on the single-bus topology.
+     * it pays. On the single bus: cluster 0, nothing remote, hop 0.
      */
     struct Route {
         std::uint32_t local = 0;    ///< Requester's cluster.
@@ -382,7 +377,7 @@ class Bus
 
     /**
      * Route for an F/FI/I/LK transaction on @p block_addr, from the
-     * pre-transaction directory state: the remote clusters holding
+     * pre-transaction residency masks: the remote clusters holding
      * copies (@p snoops_copies) and/or locks (@p checks_locks). Memory
      * is banked per cluster (each cluster bus has its own port into the
      * shared-memory modules), so memory crossings never ride the
@@ -408,9 +403,7 @@ class Bus
     std::size_t
     blockIndexOf(Addr block_addr) const
     {
-        return static_cast<std::size_t>(
-            blockShift_ >= 0 ? block_addr >> blockShift_
-                             : block_addr / timing_.blockWords);
+        return static_cast<std::size_t>(block_addr >> blockShift_);
     }
 
     void setPurgeMark(Addr block_addr, bool marked);
@@ -425,13 +418,11 @@ class Bus
     std::vector<Port> ports_;
     ResidencyFilter residency_;
     ClusterTopology clusters_;
-    InterClusterDirectory directory_;
     UnlockListener* unlockListener_ = nullptr;
     FaultInjector* injector_ = nullptr;
     EventSink* sink_ = nullptr;
-    Cycles freeAt_ = 0;
     BusStats stats_;
-    int blockShift_ = -1; ///< log2(blockWords) when a power of two.
+    std::uint32_t blockShift_ = 0; ///< log2(blockWords).
     /**
      * Bit per block number, set while the block's last dirty copy was
      * purged without copy-back. Index-ordered, so snapshotPurgeMarks

@@ -8,12 +8,15 @@
  * with its own snooping bus and its own port into the banked shared
  * memory, joined by a contention-free point-to-point interconnect (a
  * crossbar: only the buses serialize, crossings between disjoint
- * cluster pairs overlap freely). The inter-cluster directory
- * (src/bus/intercluster_directory.h) records which clusters can hold
- * copies or locks of each block, so a transaction reserves — and pays
- * hop cycles for — only the cluster buses that must actually be
- * consulted. Transactions whose routes touch disjoint buses overlap
- * in time; that overlap is the whole scaling win.
+ * cluster pairs overlap freely). The modeled machine routes each
+ * transaction through an inter-cluster directory of the clusters that
+ * can hold copies or locks of its block; the simulator reads those
+ * cluster sets off the bus's exact per-PE residency masks
+ * (src/bus/residency_filter.h) when the transaction starts. A
+ * transaction therefore reserves — and pays hop cycles for — only the
+ * cluster buses that must actually be consulted. Transactions whose
+ * routes touch disjoint buses overlap in time; that overlap is the
+ * whole scaling win.
  *
  * Timing model (circuit-switched reservation): arbitration starts a
  * transaction at max(request time, free time of every reserved bus) —
@@ -21,9 +24,14 @@
  * reserved buses stay busy until the transaction completes, matching
  * the paper's assumption 3 (the bus is not freed until the operation
  * completes) per bus. Crossing costs are charged by the Bus into
- * BusStats::interClusterCycles: a round trip (2 x hopCycles) per remote
- * cluster consulted, one flood (hopCycles) for broadcasts. Memory never
- * pays hops — each cluster reaches its bank through its own port.
+ * BusStats::interClusterCycles: one round trip (2 x hopCycles) for a
+ * transaction that consults any remote cluster, one flood (hopCycles)
+ * for broadcasts. Memory never pays hops — each cluster reaches its
+ * bank through its own port.
+ *
+ * The paper's single bus is the one-cluster case: every PE in cluster
+ * 0, no remote cluster to route to, no hops, and one bus that
+ * serializes every transaction.
  *
  * Snoop *semantics* are untouched: the PE-level walk still visits
  * exactly the residency filter's copy/lock holders in ascending PE
@@ -46,8 +54,8 @@ struct ClusterConfig {
     /**
      * PEs per cluster; 0 keeps the paper's single shared bus. PE p
      * belongs to cluster p / clusterSize, so a machine of P PEs has
-     * ceil(P / clusterSize) clusters (at most 64: cluster sets are one
-     * mask word in the inter-cluster directory).
+     * ceil(P / clusterSize) clusters (at most 64: a route's remote
+     * cluster set is one 64-bit mask).
      */
     std::uint32_t clusterSize = 0;
 
@@ -75,16 +83,16 @@ struct ClusterConfig {
 };
 
 /**
- * Per-cluster bus and interconnect occupancy. Owned by the Bus; a
+ * Per-cluster bus and interconnect occupancy. Owned by the Bus. The
  * single-bus topology (clusterSize 0, or every PE in one cluster) is
- * disabled() and the Bus keeps its legacy single freeAt path, byte
- * identical to the pre-cluster simulator.
+ * the one-cluster case: it starts with one bus, so even a Bus with no
+ * PE attached serializes its transactions.
  */
 class ClusterTopology
 {
   public:
     explicit ClusterTopology(const ClusterConfig& config = ClusterConfig{})
-        : config_(config)
+        : config_(config), freeAt_(1, 0)
     {
     }
 
@@ -93,21 +101,16 @@ class ClusterTopology
     registerPe(PeId pe)
     {
         const std::uint32_t cluster = config_.clusterOf(pe);
-        if (cluster >= numClusters_)
-            numClusters_ = cluster + 1;
-        if (freeAt_.size() < numClusters_)
-            freeAt_.resize(numClusters_, 0);
-    }
-
-    /** True when transactions arbitrate per cluster (2+ clusters). */
-    bool
-    enabled() const
-    {
-        return config_.clusterSize > 0 && numClusters_ > 1;
+        if (cluster >= freeAt_.size())
+            freeAt_.resize(cluster + 1, 0);
     }
 
     const ClusterConfig& config() const { return config_; }
-    std::uint32_t numClusters() const { return numClusters_; }
+    std::uint32_t
+    numClusters() const
+    {
+        return static_cast<std::uint32_t>(freeAt_.size());
+    }
     Cycles hopCycles() const { return config_.hopCycles; }
 
     std::uint32_t clusterOf(PeId pe) const { return config_.clusterOf(pe); }
@@ -116,9 +119,9 @@ class ClusterTopology
     std::uint64_t
     allRemote(std::uint32_t local) const
     {
-        const std::uint64_t all = numClusters_ >= 64
+        const std::uint64_t all = numClusters() >= 64
                                       ? ~0ull
-                                      : (1ull << numClusters_) - 1;
+                                      : (1ull << numClusters()) - 1;
         return all & ~(1ull << local);
     }
 
@@ -169,8 +172,8 @@ class ClusterTopology
 
   private:
     ClusterConfig config_;
-    std::uint32_t numClusters_ = 1;
-    std::vector<Cycles> freeAt_; ///< Per-cluster bus busy-until.
+    /** Per-cluster bus busy-until; one entry per cluster. */
+    std::vector<Cycles> freeAt_;
 };
 
 } // namespace pim

@@ -25,9 +25,10 @@
  * 64-bit words, so the filter is exact at *any* PE count — there is no
  * 64-PE ceiling and no broadcast fallback for wide machines. With 64 or
  * fewer PEs an entry is a single word and the maintenance/query cost is
- * identical to the single-word design this replaces. The per-block
- * cluster summaries the inter-cluster directory keeps
- * (src/bus/intercluster_directory.h) are derived from these masks.
+ * identical to the single-word design this replaces. On the clustered
+ * topology the bus also reads each transaction's route off these masks
+ * (src/bus/cluster_bus.h): a remote cluster is routed while one of its
+ * PEs is in the block's copy or lock set.
  *
  * Entries live in pages allocated on first touch (the PagedStore idiom):
  * a lookup is one shift, one page-pointer load and one indexed load, and
@@ -65,20 +66,19 @@ class ResidencyFilter
     static constexpr std::uint32_t kMaxMaskWords = 64;
 
     /**
-     * Set the block size the bus dispatches at; block addresses passed
-     * to the mask updaters are multiples of this. Must be called before
-     * any residency note (the Bus constructor does).
+     * Set the block size the bus dispatches at, a power of two; block
+     * addresses passed to the mask updaters are multiples of this. Must
+     * be called before any residency note (the Bus constructor does).
      */
     void
     setBlockWords(std::uint32_t block_words)
     {
-        blockWords_ = block_words == 0 ? 1 : block_words;
-        shift_ = -1;
-        if ((blockWords_ & (blockWords_ - 1)) == 0) {
-            shift_ = 0;
-            while ((1u << shift_) != blockWords_)
-                ++shift_;
-        }
+        PIM_ASSERT(block_words != 0 && (block_words & (block_words - 1)) == 0,
+                   "residency filter blockWords ", block_words,
+                   " is not a power of two");
+        shift_ = 0;
+        while ((1u << shift_) != block_words)
+            ++shift_;
     }
 
     /**
@@ -221,12 +221,6 @@ class ResidencyFilter
         walk(locks_, block, skip, fn);
     }
 
-    /** Blocks with at least one cached copy (introspection). */
-    std::size_t trackedCopyBlocks() const { return nonZero(copies_); }
-
-    /** Blocks with at least one lock entry (introspection). */
-    std::size_t trackedLockBlocks() const { return nonZero(locks_); }
-
   private:
     /** Pages of kPageBlocks entries, maskWords_ words each. */
     struct MaskStore {
@@ -238,8 +232,7 @@ class ResidencyFilter
     std::size_t
     indexOf(Addr block) const
     {
-        return static_cast<std::size_t>(
-            shift_ >= 0 ? block >> shift_ : block / blockWords_);
+        return static_cast<std::size_t>(block >> shift_);
     }
 
     /** Entry for @p index, materializing its page on first touch. */
@@ -331,25 +324,6 @@ class ResidencyFilter
         }
     }
 
-    std::size_t
-    nonZero(const MaskStore& store) const
-    {
-        std::size_t count = 0;
-        for (const auto& page : store.pages) {
-            if (page == nullptr)
-                continue;
-            for (std::size_t i = 0; i < kPageBlocks; ++i) {
-                for (std::uint32_t w = 0; w < maskWords_; ++w) {
-                    if (page[i * maskWords_ + w] != 0) {
-                        count += 1;
-                        break;
-                    }
-                }
-            }
-        }
-        return count;
-    }
-
     /** Re-lay @p store out for @p new_words-wide entries. */
     void
     regrow(MaskStore& store, std::uint32_t new_words)
@@ -375,9 +349,8 @@ class ResidencyFilter
         store.pages = std::move(wider.pages);
     }
 
-    std::uint32_t blockWords_ = 1;
     std::uint32_t maskWords_ = 1; ///< ceil(maxPe+1 / 64), grown by registerPe.
-    int shift_ = 0; ///< log2(blockWords_) when a power of two, else -1.
+    std::uint32_t shift_ = 0; ///< log2 of the block size.
     MaskStore copies_; ///< Block index -> PE copy mask entry.
     MaskStore locks_;  ///< Block index -> lock-residency mask entry.
 };

@@ -89,13 +89,6 @@ struct CacheConfig {
     std::uint32_t lockEntries = 2;
 
     /**
-     * Illinois-style baseline: copy dirty blocks back to shared memory
-     * on cache-to-cache transfer (no SM state). Used by the SM-state
-     * ablation bench.
-     */
-    bool copybackOnShare = false;
-
-    /**
      * Write-through baseline (Goodman's motivation for copy-back):
      * every write is a bus transaction updating shared memory and
      * invalidating remote copies; blocks are never dirty; write misses
@@ -109,8 +102,9 @@ struct CacheConfig {
     /**
      * Coherence protocol variant (docs/ARCHITECTURE.md "Protocol
      * matrix"). The default PIM table reproduces the paper's 5-state
-     * protocol byte-identically; copybackOnShare above still overrides
-     * the dirty-share behavior for the SM-state ablation.
+     * protocol byte-identically. MESI is also the Illinois-style
+     * baseline of the SM-state ablation: the PIM table, except that a
+     * dirty block shared cache-to-cache is copied back to memory.
      */
     ProtocolKind protocol = ProtocolKind::PIM;
 

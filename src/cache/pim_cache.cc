@@ -28,11 +28,6 @@ PimCache::PimCache(PeId pe, const CacheConfig& config, Bus& bus)
     setMask_ = config_.geometry.sets - 1;
     if (rngState_ == 0)
         rngState_ = 1; // xorshift64 must not start at zero
-    // The Illinois-style ablation predates the protocol zoo and keeps
-    // its CLI: it is exactly the PIM protocol with MESI's dirty-share
-    // behavior.
-    if (config_.copybackOnShare)
-        proto_.dirtyShare = DirtyShare::WritebackToMemory;
     bus_.attach(pe_, this, &locks_);
 }
 
@@ -785,9 +780,9 @@ PimCache::snoopFetch(Addr block_addr, bool invalidate, Word* data_out,
     if (was_dirty) {
         switch (proto_.dirtyShare) {
           case DirtyShare::WritebackToMemory:
-            // MSI/MESI (and the Illinois-style copybackOnShare
-            // baseline): shared memory snarfs the transfer, the block
-            // becomes clean everywhere. Seeded bug
+            // MSI/MESI (MESI is also the Illinois-style baseline):
+            // shared memory snarfs the transfer, the block becomes
+            // clean everywhere. Seeded bug
             // MesiShareSkipsWriteback drops the snarf but still reports
             // clean: everyone clean over stale memory.
             if (mutation_ != ProtocolMutation::MesiShareSkipsWriteback)

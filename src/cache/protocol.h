@@ -79,7 +79,7 @@ enum class DirtyShare : std::uint8_t {
      *  supplier downgrades to clean S; shared memory stays stale and is
      *  never written — the point of the SM state. */
     MigrateToReceiver = 0,
-    /** MSI/MESI (and the Illinois-style copybackOnShare ablation):
+    /** MSI/MESI (MESI is also the Illinois-style SM-state ablation):
      *  shared memory snarfs the transfer; everyone ends up clean. */
     WritebackToMemory = 1,
     /** MOESI/Dragon: the supplier keeps the dirty data (SM as the owned

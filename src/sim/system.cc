@@ -77,7 +77,7 @@ SystemConfig::validate() const
             SimFaultKind::Config, "clusterSize ", cluster.clusterSize,
             " partitions ", numPes, " PEs into ",
             cluster.clustersFor(numPes),
-            " clusters; the inter-cluster directory supports at most 64");
+            " clusters; a route's remote-cluster mask holds at most 64");
 }
 
 void

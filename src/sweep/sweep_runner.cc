@@ -307,8 +307,7 @@ writeAggregate(JsonWriter& json, const SweepExperiment& experiment,
 }
 
 std::string
-renderSweepJson(const SweepSpec& spec, const SweepOutcome& outcome,
-                const SweepOptions& options)
+renderSweepJson(const SweepSpec& spec, const SweepOutcome& outcome)
 {
     std::ostringstream os;
     JsonWriter json(os, /*pretty=*/true);
@@ -343,12 +342,6 @@ renderSweepJson(const SweepSpec& spec, const SweepOutcome& outcome,
     }
     json.endArray();
     json.field("fingerprint", hex16(outcome.fingerprint));
-    if (options.perfInline) {
-        // Wall-clock data varies run to run; embedding it forfeits the
-        // cross---jobs byte-identity guarantee (docs/EXPERIMENTS.md).
-        json.key("perf");
-        json.rawValue(renderPerfJson(outcome));
-    }
     json.endObject();
     os << "\n";
     return os.str();
@@ -602,7 +595,6 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     // Checkpoint plumbing: done flags flip only under the mutex, so the
     // serializer (also under it) never reads a half-filled row.
     std::mutex done_mutex;
-    std::size_t completed_this_run = 0;
     const auto write_checkpoint_locked = [&] {
         if (ckpt_path.empty())
             return;
@@ -623,7 +615,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
             const TaskKind kind = spec.experiments[row.experiment].kind;
             const std::uint64_t derived_seed =
                 deriveSeed(spec.seed, row.taskIndex);
-            pool.submit([&row, &options, &done_mutex, &completed_this_run,
+            pool.submit([&row, &options, &done_mutex,
                          &write_checkpoint_locked, kind, derived_seed] {
                 RetryAccounting accounting;
                 runWithRetry(
@@ -671,10 +663,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
 
                 std::lock_guard<std::mutex> lock(done_mutex);
                 row.done = true;
-                ++completed_this_run;
-                if (options.checkpointEvery != 0 &&
-                    completed_this_run % options.checkpointEvery == 0)
-                    write_checkpoint_locked();
+                write_checkpoint_locked();
             });
         }
         pool.wait();
@@ -708,7 +697,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
             h = mix(h, row.failed ? 1 : 0);
             outcome.fingerprint = mix(outcome.fingerprint, h);
         }
-        outcome.sweepJson = renderSweepJson(spec, outcome, options);
+        outcome.sweepJson = renderSweepJson(spec, outcome);
     } else {
         // Partial run (--max-tasks): the checkpoint is the product; a
         // half-grid SWEEP document would masquerade as a full one.

@@ -84,8 +84,6 @@ struct SweepOptions {
     unsigned jobs = 1;       ///< Worker threads (0 = hardware).
     std::string outDir;      ///< Output directory ("" = don't write files).
     std::uint32_t scale = 0; ///< Override every kl1 task's scale (0 = spec).
-    bool perfInline = false; ///< Embed the perf block in SWEEP.json
-                             ///< (breaks cross-jobs byte-identity).
     RetryPolicy retry;       ///< Transient-fault retry policy.
     /**
      * Per-task wall-clock budget in seconds (0 = none). A point that
@@ -98,6 +96,9 @@ struct SweepOptions {
      * checkpointed by an earlier (interrupted) run of the *same*
      * spec+options (verified by config hash) are restored, not re-run.
      * The final SWEEP.json is byte-identical to an uninterrupted run.
+     * With outDir set, the runner rewrites the checkpoint after every
+     * completed task, atomically (temp + rename), so a kill leaves a
+     * valid previous checkpoint.
      */
     bool resume = false;
     /**
@@ -107,12 +108,6 @@ struct SweepOptions {
      * operators draining a grid in slices both use it.
      */
     std::size_t maxTasks = 0;
-    /**
-     * Completed tasks between checkpoint writes when outDir is set
-     * (0 = no periodic checkpointing). Every write is atomic
-     * (temp + rename), so a kill leaves a valid previous checkpoint.
-     */
-    std::uint32_t checkpointEvery = 1;
 };
 
 /** Everything a sweep run produced. */

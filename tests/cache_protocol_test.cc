@@ -174,7 +174,7 @@ class IllinoisBaseline : public ::testing::Test
     IllinoisBaseline()
     {
         SystemConfig config = smallSystem();
-        config.cache.copybackOnShare = true;
+        config.cache.protocol = ProtocolKind::MESI;
         sys_ = std::make_unique<System>(config);
     }
 

@@ -2,13 +2,14 @@
  * @file
  * Clustered snooping-bus topology tests (docs/ARCHITECTURE.md).
  *
- * Three layers: unit tests of ClusterConfig/ClusterTopology (partition
- * arithmetic and per-bus reservation timing), the InterClusterDirectory
- * (cluster-residency sets maintained from the residency filter), and
- * system-level behavior — protocol outcomes identical to the single
- * bus, hop cycles accounted exactly (totalCycles = pattern sum +
- * interClusterCycles), zero hops for cluster-local traffic, and the
- * attribution engine's cross-check holding with clustering on.
+ * Two layers: unit tests of ClusterConfig/ClusterTopology (partition
+ * arithmetic and per-bus reservation timing), and system-level
+ * behavior — routes read off the residency masks (a cluster is routed
+ * while it holds a copy or a lock entry), protocol outcomes identical
+ * to the single bus, hop cycles accounted exactly (totalCycles =
+ * pattern sum + interClusterCycles), zero hops for cluster-local
+ * traffic, and the attribution engine's cross-check holding with
+ * clustering on.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,6 @@
 #include <vector>
 
 #include "bus/cluster_bus.h"
-#include "bus/intercluster_directory.h"
-#include "bus/residency_filter.h"
 #include "common/rng.h"
 #include "obs/attribution.h"
 #include "sim/system.h"
@@ -55,10 +54,13 @@ TEST(ClusterTopologyUnit, EnabledNeedsTwoClusters)
     ClusterTopology topo(config);
     for (PeId pe = 0; pe < 4; ++pe)
         topo.registerPe(pe);
-    // All four PEs share cluster 0: still effectively a single bus.
-    EXPECT_FALSE(topo.enabled());
+    // All four PEs share cluster 0: the single bus, with no remote
+    // cluster to route to and one bus that serializes everything.
+    EXPECT_EQ(topo.numClusters(), 1u);
+    EXPECT_EQ(topo.allRemote(0), 0u);
+    topo.occupy(0, 0, 50);
+    EXPECT_EQ(topo.arbitrate(0, 0, 10), 50u);
     topo.registerPe(4);
-    EXPECT_TRUE(topo.enabled());
     EXPECT_EQ(topo.numClusters(), 2u);
     EXPECT_EQ(topo.allRemote(0), 0b10ull);
     EXPECT_EQ(topo.allRemote(1), 0b01ull);
@@ -84,62 +86,6 @@ TEST(ClusterTopologyUnit, DisjointRoutesOverlapSharedRoutesSerialize)
     // Cluster 3 itself is still free.
     EXPECT_EQ(topo.arbitrate(3, 0, 10), 10u);
     EXPECT_EQ(topo.clusterFreeAt(2), 60u);
-}
-
-// ---------------------------------------------------------------------
-// InterClusterDirectory units.
-// ---------------------------------------------------------------------
-
-TEST(InterClusterDirectoryUnit, TracksClusterResidencySets)
-{
-    ClusterConfig config;
-    config.clusterSize = 2;
-    ResidencyFilter filter;
-    filter.setBlockWords(4);
-    for (PeId pe = 0; pe < 6; ++pe)
-        filter.registerPe(pe);
-    InterClusterDirectory dir;
-    dir.configure(config, 4);
-    ASSERT_TRUE(dir.tracking());
-
-    // PEs 0 (cluster 0) and 5 (cluster 2) take copies of block 8.
-    filter.addCopy(0, 8);
-    dir.noteCopy(0, 8, true, filter);
-    filter.addCopy(5, 8);
-    dir.noteCopy(5, 8, true, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b101ull);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
-
-    // PE 4 shares cluster 2 with PE 5: the bit is already set, and it
-    // must survive PE 5's departure while PE 4 still holds a copy.
-    filter.addCopy(4, 8);
-    dir.noteCopy(4, 8, true, filter);
-    filter.removeCopy(5, 8);
-    dir.noteCopy(5, 8, false, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b101ull);
-
-    // Last departure from cluster 2 clears its bit.
-    filter.removeCopy(4, 8);
-    dir.noteCopy(4, 8, false, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b001ull);
-
-    // Locks are tracked independently of copies.
-    filter.setLockResident(3, 8, true);
-    dir.noteLock(3, 8, true, filter);
-    EXPECT_EQ(dir.lockClusters(8), 0b010ull);
-    EXPECT_EQ(dir.copyClusters(8), 0b001ull);
-    filter.setLockResident(3, 8, false);
-    dir.noteLock(3, 8, false, filter);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
-}
-
-TEST(InterClusterDirectoryUnit, DisabledOnSingleBus)
-{
-    InterClusterDirectory dir;
-    dir.configure(ClusterConfig{}, 4);
-    EXPECT_FALSE(dir.tracking());
-    EXPECT_EQ(dir.copyClusters(8), 0u);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -170,6 +116,59 @@ expectHopAccountingExact(const BusStats& stats)
     for (int p = 0; p < kNumBusPatterns; ++p)
         pattern_sum += stats.cyclesByPattern[p];
     EXPECT_EQ(stats.totalCycles, pattern_sum + stats.interClusterCycles);
+}
+
+/** Inter-cluster cycles charged by one access. */
+Cycles
+hopsOf(System& system, PeId pe, MemOp op, Addr addr,
+       bool* lock_wait = nullptr)
+{
+    const Cycles before = system.bus().stats().interClusterCycles;
+    const System::Access got = system.access(pe, op, addr, Area::Heap, 0);
+    if (lock_wait != nullptr)
+        *lock_wait = got.lockWait;
+    return system.bus().stats().interClusterCycles - before;
+}
+
+TEST(ClusteredSystem, RoutesFollowCopyAndLockResidency)
+{
+    // Three clusters of two PEs: {0,1}, {2,3}, {4,5}.
+    const Cycles hop = 3;
+    System system(clusteredConfig(6, 2, static_cast<std::uint32_t>(hop)));
+
+    // Both PEs of cluster 2 take copies of block 16; their traffic
+    // stays local.
+    EXPECT_EQ(hopsOf(system, 4, MemOp::R, 16), 0u);
+    EXPECT_EQ(hopsOf(system, 5, MemOp::R, 16), 0u);
+
+    // PE 0 probes the block with a read miss, then drops its own copy
+    // with RP (a hit: no bus). Cluster 2 stays on the route while any
+    // of its PEs holds a copy, and leaves it with the last one.
+    EXPECT_EQ(hopsOf(system, 0, MemOp::R, 16), 2 * hop);
+    EXPECT_EQ(hopsOf(system, 0, MemOp::RP, 16), 0u);
+    EXPECT_EQ(hopsOf(system, 5, MemOp::RP, 16), 0u);
+    EXPECT_EQ(hopsOf(system, 0, MemOp::R, 16), 2 * hop);
+    EXPECT_EQ(hopsOf(system, 0, MemOp::RP, 16), 0u);
+    EXPECT_EQ(hopsOf(system, 4, MemOp::RP, 16), 0u);
+    EXPECT_EQ(hopsOf(system, 0, MemOp::R, 16), 0u);
+
+    // PE 2 (cluster 1) locks a word of block 32, then evicts the block
+    // (set 0 also holds bases 48 and 64): the lock entry outlives the
+    // copy (rule (b)), so cluster 1 stays routed for the lock check.
+    EXPECT_EQ(hopsOf(system, 2, MemOp::LR, 33), 0u);
+    EXPECT_EQ(hopsOf(system, 2, MemOp::W, 48), 0u);
+    EXPECT_EQ(hopsOf(system, 2, MemOp::W, 64), 0u);
+    EXPECT_TRUE(system.bus().residency().copyMask(32).none());
+    bool lock_wait = false;
+    EXPECT_EQ(hopsOf(system, 0, MemOp::R, 32, &lock_wait), 2 * hop);
+    EXPECT_TRUE(lock_wait);
+
+    // The unlock floods every cluster one way and wakes PE 0, whose
+    // retry finds no copy or lock left outside its own cluster.
+    EXPECT_EQ(hopsOf(system, 2, MemOp::U, 33), hop);
+    EXPECT_EQ(hopsOf(system, 0, MemOp::R, 32, &lock_wait), 0u);
+    EXPECT_FALSE(lock_wait);
+    expectHopAccountingExact(system.bus().stats());
 }
 
 TEST(ClusteredSystem, ProtocolOutcomesMatchSingleBus)
@@ -208,7 +207,7 @@ TEST(ClusteredSystem, ClusterLocalTrafficPaysNoHops)
     // PEs 0 and 1 share cluster 0 of a 2-cluster machine; all their
     // read/write sharing stays on their own bus and bank port.
     System system(clusteredConfig(4, 2));
-    ASSERT_TRUE(system.bus().clusters().enabled());
+    ASSERT_EQ(system.bus().clusters().numClusters(), 2u);
     Rng rng(7);
     for (int step = 0; step < 500; ++step) {
         const PeId pe = static_cast<PeId>(rng.below(2));
@@ -313,8 +312,8 @@ TEST(ClusteredSystem, AttributionCrossCheckHoldsWithClustering)
 
 TEST(ClusteredSystem, WideClusteredMachineStaysExact)
 {
-    // 128 PEs in 16 clusters: multi-word masks and the directory work
-    // together; protocol content still matches the single bus.
+    // 128 PEs in 16 clusters: routes read off multi-word masks;
+    // protocol content still matches the single bus.
     System single(clusteredConfig(128, 0));
     System clustered(clusteredConfig(128, 8, 2));
     Rng rng(5);

@@ -49,7 +49,8 @@ class CoherenceProp : public ::testing::TestWithParam<PropParam>
         SystemConfig config;
         config.numPes = p.pes;
         config.cache.geometry = {p.blockWords, p.ways, p.sets};
-        config.cache.copybackOnShare = p.illinois;
+        if (p.illinois)
+            config.cache.protocol = ProtocolKind::MESI;
         config.memoryWords = 1 << 20;
         sys_ = std::make_unique<System>(config);
         rng_ = std::make_unique<Rng>(p.seed);

@@ -117,7 +117,7 @@ TEST(Kl1Parallel, InvarianceAcrossCacheGeometry)
 TEST(Kl1Parallel, InvarianceUnderIllinoisBaseline)
 {
     Kl1Config config = smallConfig(4);
-    config.cache.copybackOnShare = true;
+    config.cache.protocol = ProtocolKind::MESI;
     const Outcome out = run(kTreeSrc, "tree(7, R).", config);
     EXPECT_EQ(out.bindings.at("R"), "128");
 }

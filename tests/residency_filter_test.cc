@@ -139,19 +139,6 @@ TEST(ResidencyFilterUnit, RangeQueriesRespectWordBoundaries)
     EXPECT_FALSE(filter.anyLockInRange(8, 128, 192));
 }
 
-TEST(ResidencyFilterUnit, NonPowerOfTwoBlockWordsStillIndexes)
-{
-    ResidencyFilter filter;
-    filter.setBlockWords(3); // falls back to division indexing
-    filter.addCopy(0, 0);
-    filter.addCopy(1, 3);
-    filter.addCopy(2, 6);
-    EXPECT_EQ(filter.copyMask(0), 1ull << 0);
-    EXPECT_EQ(filter.copyMask(3), 1ull << 1);
-    EXPECT_EQ(filter.copyMask(6), 1ull << 2);
-    EXPECT_EQ(filter.trackedCopyBlocks(), 3u);
-}
-
 // ---------------------------------------------------------------------
 // System-level exactness: masks versus cache/lock-directory ground
 // truth after every protocol event kind.

@@ -63,6 +63,9 @@ TEST(SystemValidate, RejectsBadConfigsWithDescriptiveFaults)
     Case unaligned{"memoryWords", smallConfig()};
     unaligned.config.memoryWords = 1022; // Not a multiple of 4.
     cases.push_back(unaligned);
+    Case clusters{"clusterSize", smallConfig(130)};
+    clusters.config.cluster.clusterSize = 2; // 65 clusters.
+    cases.push_back(clusters);
 
     for (const Case& c : cases) {
         try {
