@@ -23,8 +23,8 @@
  * Unknown flags are rejected (exit 1).
  *
  * --cluster-size=N partitions the PEs into per-cluster snooping buses
- * with an inter-cluster directory (docs/ARCHITECTURE.md); 0 keeps the
- * paper's single bus.
+ * joined by a point-to-point crossbar (docs/ARCHITECTURE.md); 0 keeps
+ * the paper's single bus.
  *
  * --attribution-out=PATH adds one extra *untimed* run at the largest PE
  * point with the attribution engine attached and writes its miss/cycle

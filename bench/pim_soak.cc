@@ -112,8 +112,7 @@ classify(const SweepRow& row, bool must_detect, std::uint64_t fires)
             row.faultKind == simFaultKindName(SimFaultKind::Livelock) ||
             row.faultKind == simFaultKindName(SimFaultKind::Starvation))
             return "detected-watchdog";
-        if (row.faultKind == simFaultKindName(SimFaultKind::Timeout) ||
-            row.faultKind == simFaultKindName(SimFaultKind::Cancelled))
+        if (row.faultKind == simFaultKindName(SimFaultKind::Timeout))
             return "timed-out";
         // Config/Parse from inside a cell is a harness bug, not a
         // detector outcome; surface it as an escape so the campaign

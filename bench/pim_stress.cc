@@ -51,7 +51,6 @@ usage()
         "  --attribution-out=PATH  dump the miss/cycle attribution report\n"
         "                      as JSON (schema `attribution`, always;\n"
         "                      docs/OBSERVABILITY.md)\n"
-        "  --no-audit          detach the coherence auditor\n"
         "  --cluster-size=N    PEs per snooping-bus cluster (0 = single\n"
         "                      bus; docs/ARCHITECTURE.md)\n"
         "  --hop-cycles=N      one-way inter-cluster hop cost (default 4)\n"
@@ -70,7 +69,7 @@ const char* const kKnownFlags[] = {
     "seed",       "pes",        "geometry",  "steps",
     "span",       "write-pct",  "lock-pct",  "opt-pct",
     "plan",       "trace-out",  "timeline-out", "attribution-out",
-    "no-audit",   "expect-fault",
+    "expect-fault",
     "replay",     "help",       "starvation-bound", "livelock-retries",
     "seeds",      "jobs",       "timeout",
     "cluster-size", "hop-cycles",
@@ -114,7 +113,6 @@ main(int argc, char** argv)
         config.traceOut = opts.getString("trace-out", "");
         config.timelineOut = opts.getString("timeline-out", "");
         config.attributionOut = opts.getString("attribution-out", "");
-        config.audit = !opts.getBool("no-audit");
         config.clusterSize =
             static_cast<std::uint32_t>(opts.getInt("cluster-size", 0));
         config.hopCycles =

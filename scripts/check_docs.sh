@@ -3,9 +3,10 @@
 # link and every `src/...` / `bench/...` / `scripts/...` / `tests/...`
 # path mentioned in README.md and docs/*.md must exist in the tree,
 # every backticked `Class::member` must name a member that still
-# appears in the code, and every backticked bare `CamelCase` type name
-# must still appear in the code, so the docs cannot silently rot as
-# files move or APIs are renamed and deleted.
+# appears in the code, every backticked bare `CamelCase` type name
+# must still appear in the code, and every `--flag` in a backticked
+# command must still be parsed by some tool, so the docs cannot
+# silently rot as files move or APIs and flags are renamed and deleted.
 #
 #   scripts/check_docs.sh         # check README.md and docs/*.md
 #
@@ -76,6 +77,19 @@ check_file() {
         fi
     done < <(grep -oE '`[A-Z][a-z0-9]+([A-Z][A-Za-z0-9]*)+`' "${doc}" \
                   | tr -d '`' | sort -u)
+
+    # Backticked command flags: every `--name` in a code span must appear
+    # as the quoted string "name" in the code, where the tools look their
+    # flags up. Spans that run cmake, ctest, python3, git or gcovr pass
+    # flags to those tools, not to ours, and are skipped.
+    while IFS= read -r flag; do
+        if ! grep -rqF -- "\"${flag}\"" "${code_dirs[@]}"; then
+            complain "${doc}" "flag --${flag}"
+        fi
+    done < <(grep -oE '`[^`]+`' "${doc}" \
+                  | grep -vE '^`(cmake|ctest|python3|git|gcovr)[ `]' \
+                  | grep -oE -- '--[a-z][a-z0-9-]*' | sed -E 's/^--//' \
+                  | sort -u)
 }
 
 for doc in README.md docs/*.md; do

@@ -46,8 +46,9 @@ perfbench_smoke() {
 # Clustered-topology gate (docs/ARCHITECTURE.md): a deeper clustered
 # conformance fuzz than the ctest `cluster` label runs, plus the
 # 128-PE clustered perf smoke with its JSON schema check. Exercises
-# the inter-cluster directory, hop accounting and the residency-mask
-# walk at a scale the unit tests keep short.
+# the inter-cluster routes read off the residency masks, hop
+# accounting and the residency-mask walk at a scale the unit tests
+# keep short.
 cluster_smoke() {
     local dir="build-release"
     echo "=== cluster smoke (${dir}) ==="

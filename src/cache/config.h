@@ -96,9 +96,6 @@ struct CacheConfig {
      */
     bool writeThrough = false;
 
-    /** Processor-visible latency of a cache hit, in cycles. */
-    std::uint32_t hitCycles = 1;
-
     /**
      * Coherence protocol variant (docs/ARCHITECTURE.md "Protocol
      * matrix"). The default PIM table reproduces the paper's 5-state
@@ -110,9 +107,6 @@ struct CacheConfig {
 
     /** Replacement policy (LRU = the pre-refactor behavior). */
     ReplacementKind replacement = ReplacementKind::LRU;
-
-    /** Seed for the random replacement policy's xorshift64. */
-    std::uint64_t replacementSeed = 1;
 };
 
 } // namespace pim

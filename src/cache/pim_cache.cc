@@ -7,12 +7,22 @@
 
 namespace pim {
 
+namespace {
+
+/** Processor-visible latency of a cache hit, in cycles. */
+constexpr Cycles kHitCycles = 1;
+
+/** Seed for the random replacement policy's per-PE xorshift64. */
+constexpr std::uint64_t kReplacementSeed = 1;
+
+} // namespace
+
 PimCache::PimCache(PeId pe, const CacheConfig& config, Bus& bus)
     : pe_(pe),
       config_(config),
       bus_(bus),
       proto_(CoherenceProtocol::make(config.protocol)),
-      rngState_(config.replacementSeed ^
+      rngState_(kReplacementSeed ^
                 (0x9e3779b97f4a7c15ull * (pe + 1))),
       locks_(pe, config.lockEntries, &bus, config.geometry.blockWords),
       blocks_(static_cast<std::size_t>(config.geometry.sets) *
@@ -258,7 +268,7 @@ PimCache::doRead(const MemRef& ref, Cycles now)
     if (Block* block = findBlock(base)) {
         touchOnHit(*block);
         result.data = blockData(*block)[ref.addr - base];
-        result.doneAt = now + config_.hitCycles;
+        result.doneAt = now + kHitCycles;
         countAccess(ref, false);
         return result;
     }
@@ -315,8 +325,8 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
             // takes the block exclusive without the broadcast.
             blockData(*block)[ref.addr - base] = wdata;
             if (mutation_ == ProtocolMutation::DragonUpdateSkipsSharers) {
-                setState(*block, CacheState::EM, now + config_.hitCycles);
-                result.doneAt = now + config_.hitCycles;
+                setState(*block, CacheState::EM, now + kHitCycles);
+                result.doneAt = now + kHitCycles;
             } else {
                 const UpdateResult upd =
                     bus_.updateWord(pe_, ref.addr, wdata, now, ref.area);
@@ -336,7 +346,7 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
                 bus_.invalidate(pe_, base, false, 0, now, ref.area);
             result.doneAt = inv.completeAt;
         } else {
-            result.doneAt = now + config_.hitCycles;
+            result.doneAt = now + kHitCycles;
         }
         setState(*block, CacheState::EM, result.doneAt);
         blockData(*block)[ref.addr - base] = wdata;
@@ -384,10 +394,10 @@ PimCache::doLockRead(const MemRef& ref, Cycles now)
 
     if (block != nullptr && cacheStateExclusive(block->state)) {
         // Zero-bus-cycle lock: the paper's key lock optimization.
-        locks_.acquire(ref.addr, now + config_.hitCycles);
+        locks_.acquire(ref.addr, now + kHitCycles);
         touchOnHit(*block);
         result.data = blockData(*block)[ref.addr - base];
-        result.doneAt = now + config_.hitCycles;
+        result.doneAt = now + kHitCycles;
         countAccess(ref, false);
         stats_.lrCount += 1;
         stats_.lrHit += 1;
@@ -506,7 +516,7 @@ PimCache::doUnlock(const MemRef& ref, bool write, Word wdata, Cycles now)
         result.doneAt = bus_.unlockBroadcast(pe_, ref.addr, when, ref.area);
     } else {
         stats_.unlockNoWaiter += 1;
-        result.doneAt = std::max(when, now + config_.hitCycles);
+        result.doneAt = std::max(when, now + kHitCycles);
     }
     countAccess(ref, miss);
     return result;
@@ -533,7 +543,7 @@ PimCache::doDirectWrite(const MemRef& ref, Word wdata, bool downward,
     // guarantees no remote cache holds this block.
     AccessResult result;
     Block& victim = victimIn(setIndexOf(base));
-    Cycles done = now + config_.hitCycles;
+    Cycles done = now + kHitCycles;
     if (victim.state != CacheState::INV) {
         stats_.evictions += 1;
         if (cacheStateDirty(victim.state)) {
@@ -572,8 +582,8 @@ PimCache::doExclusiveRead(const MemRef& ref, Cycles now)
         AccessResult result;
         result.data = blockData(*block)[ref.addr - base];
         stats_.erAsRp += 1;
-        purgeBlock(*block, now + config_.hitCycles);
-        result.doneAt = now + config_.hitCycles;
+        purgeBlock(*block, now + kHitCycles);
+        result.doneAt = now + kHitCycles;
         countAccess(ref, false);
         return result;
     }
@@ -618,8 +628,8 @@ PimCache::doReadPurge(const MemRef& ref, Cycles now)
     if (Block* block = findBlock(base)) {
         // Case (i): read, then purge our own copy.
         result.data = blockData(*block)[ref.addr - base];
-        purgeBlock(*block, now + config_.hitCycles);
-        result.doneAt = now + config_.hitCycles;
+        purgeBlock(*block, now + kHitCycles);
+        result.doneAt = now + kHitCycles;
         countAccess(ref, false);
         return result;
     }

@@ -48,29 +48,14 @@ roundUpPow2(std::uint64_t v)
 
 } // namespace
 
-RunGuard::RunGuard(Deadline deadline, const CancelToken* cancel,
-                   std::uint32_t stride)
-    : deadline_(deadline),
-      cancel_(cancel),
-      mask_(roundUpPow2(stride) - 1)
+RunGuard::RunGuard(Deadline deadline, std::uint32_t stride)
+    : deadline_(deadline), mask_(roundUpPow2(stride) - 1)
 {
-}
-
-bool
-RunGuard::tripped() const
-{
-    return (cancel_ != nullptr && cancel_->cancelled()) ||
-           deadline_.expired();
 }
 
 void
 RunGuard::check()
 {
-    if (cancel_ != nullptr && cancel_->cancelled()) {
-        throw PIM_SIM_FAULT(SimFaultKind::Cancelled,
-                            "run cancelled after ", polls_,
-                            " polled references");
-    }
     if (deadline_.expired()) {
         throw PIM_SIM_FAULT(SimFaultKind::Timeout, "wall-clock deadline (",
                             deadline_.limitSeconds(), "s) exceeded after ",

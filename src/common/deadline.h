@@ -1,14 +1,14 @@
 /**
  * @file
- * Cooperative cancellation and wall-clock deadlines for long-running
- * simulations (docs/ROBUSTNESS.md "Deadlines and cancellation").
+ * Wall-clock deadlines for long-running simulations
+ * (docs/ROBUSTNESS.md "Deadlines").
  *
  * A simulation point that livelocks — or just takes pathologically long
  * on some parameter corner — used to wedge its ThreadPool worker
  * forever. The resilient execution plane bounds every point instead: a
  * RunGuard is polled from the hot loops (System::access, the stress
  * driver, the KL1 step loop) and raises SimFault(Timeout) when its
- * Deadline passes or SimFault(Cancelled) when its CancelToken trips.
+ * Deadline passes.
  *
  * The poll is designed for hot paths: it samples the wall clock only
  * once every `stride` polls (a counter increment and mask otherwise),
@@ -21,35 +21,10 @@
 #ifndef PIMCACHE_COMMON_DEADLINE_H_
 #define PIMCACHE_COMMON_DEADLINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
 namespace pim {
-
-/**
- * A cooperative cancellation flag, safe to trip from any thread. The
- * holder of the token cancels; every RunGuard observing it raises
- * SimFault(Cancelled) at its next strided check.
- */
-class CancelToken
-{
-  public:
-    void
-    cancel() noexcept
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
-    }
-
-    bool
-    cancelled() const noexcept
-    {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> cancelled_{false};
-};
 
 /** A wall-clock budget: unlimited by default, or a steady-clock cutoff. */
 class Deadline
@@ -88,12 +63,10 @@ class Deadline
 };
 
 /**
- * The hot-path poll point combining a Deadline and an optional
- * CancelToken. Embed one per run and call poll() once per reference /
- * step; every `stride`-th poll samples the clock and the token and
- * throws SimFault(Timeout) / SimFault(Cancelled). A RunGuard is
- * single-threaded (one per simulation stack), but the CancelToken it
- * watches may be tripped from any thread.
+ * The hot-path poll point for a Deadline. Embed one per run and call
+ * poll() once per reference / step; every `stride`-th poll samples the
+ * clock and throws SimFault(Timeout) once the deadline has passed. A
+ * RunGuard is single-threaded (one per simulation stack).
  */
 class RunGuard
 {
@@ -104,11 +77,9 @@ class RunGuard
      *               latency to ~a thousand references while keeping the
      *               fast path to a counter increment.
      */
-    explicit RunGuard(Deadline deadline,
-                      const CancelToken* cancel = nullptr,
-                      std::uint32_t stride = 1024);
+    explicit RunGuard(Deadline deadline, std::uint32_t stride = 1024);
 
-    /** Cheap check; throws SimFault(Timeout/Cancelled) when tripped. */
+    /** Cheap check; throws SimFault(Timeout) when tripped. */
     void
     poll()
     {
@@ -121,15 +92,14 @@ class RunGuard
 
     const Deadline& deadline() const { return deadline_; }
 
-    /** True if either limit has tripped (non-throwing probe). */
-    bool tripped() const;
+    /** True once the deadline has passed (non-throwing probe). */
+    bool tripped() const { return deadline_.expired(); }
 
   private:
-    /** Strided slow path: samples clock + token, throws on violation. */
+    /** Strided slow path: samples the clock, throws on violation. */
     void check();
 
     Deadline deadline_;
-    const CancelToken* cancel_;
     std::uint64_t mask_;
     std::uint64_t polls_ = 0;
 };

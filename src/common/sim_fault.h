@@ -32,11 +32,10 @@ enum class SimFaultKind : std::uint8_t {
     Livelock = 5,   ///< Same access retried without commit (watchdog).
     Starvation = 6, ///< A parked PE aged past the LWAIT bound (watchdog).
     Timeout = 7,    ///< Wall-clock deadline exceeded (RunGuard).
-    Cancelled = 8,  ///< Run cancelled cooperatively (CancelToken).
 };
 
 /** Number of SimFaultKind enumerators. */
-inline constexpr int kNumSimFaultKinds = 9;
+inline constexpr int kNumSimFaultKinds = 8;
 
 /** Stable lowercase name, used in replay lines and test assertions. */
 inline const char*
@@ -51,7 +50,6 @@ simFaultKindName(SimFaultKind kind)
       case SimFaultKind::Livelock:   return "livelock";
       case SimFaultKind::Starvation: return "starvation";
       case SimFaultKind::Timeout:    return "timeout";
-      case SimFaultKind::Cancelled:  return "cancelled";
     }
     return "?";
 }
@@ -76,7 +74,7 @@ simFaultKindTransient(SimFaultKind kind)
  *
  *   10 config, 11 parse, 12 detection (corruption/protocol),
  *   13 liveness (deadlock/livelock/starvation),
- *   14 execution bound (timeout/cancelled).
+ *   14 execution bound (timeout).
  */
 inline int
 simFaultExitCode(SimFaultKind kind)
@@ -89,8 +87,7 @@ simFaultExitCode(SimFaultKind kind)
       case SimFaultKind::Deadlock:
       case SimFaultKind::Livelock:
       case SimFaultKind::Starvation: return 13;
-      case SimFaultKind::Timeout:
-      case SimFaultKind::Cancelled:  return 14;
+      case SimFaultKind::Timeout:    return 14;
     }
     return 15;
 }

@@ -164,13 +164,12 @@ Emulator::run(const std::string& query)
     // attach is scoped — the guard is a local and must not outlive run().
     RunGuard guard(config_.timeoutSeconds > 0
                        ? Deadline::afterSeconds(config_.timeoutSeconds)
-                       : Deadline::never(),
-                   config_.cancel);
+                       : Deadline::never());
     struct GuardDetach {
         System& sys;
         ~GuardDetach() { sys.setRunGuard(nullptr); }
     } detach{*sys_};
-    if (config_.timeoutSeconds > 0 || config_.cancel != nullptr)
+    if (config_.timeoutSeconds > 0)
         sys_->setRunGuard(&guard);
 
     // The run loop: always step the earliest non-parked PE.

@@ -45,10 +45,6 @@ struct Kl1Config {
      * fault instead of a wedged worker (docs/ROBUSTNESS.md).
      */
     double timeoutSeconds = 0;
-    /** Optional cooperative cancel (not owned; may be tripped remotely). */
-    const CancelToken* cancel = nullptr;
-    std::uint32_t donateThreshold = 2; ///< Min goals kept when donating.
-    std::uint32_t idleSpinCycles = 16; ///< Clock advance per idle poll.
     bool failOnDeadlock = true;     ///< Fatal when goals suspend forever.
     /**
      * Stop-and-copy heap GC: each PE's heap segment becomes two

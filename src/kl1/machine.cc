@@ -7,6 +7,16 @@
 
 namespace pim::kl1 {
 
+namespace {
+
+/** Fewest goals a PE keeps for itself; with fewer it declines a steal. */
+constexpr std::size_t kDonateThreshold = 2;
+
+/** Clock cycles an idle PE advances per poll of its steal slot. */
+constexpr Cycles kIdleSpinCycles = 16;
+
+} // namespace
+
 Machine::Machine(PeId pe, Emulator& emu)
     : pe_(pe),
       emu_(emu),
@@ -494,8 +504,7 @@ Machine::doDonation()
     const Addr reply = emu_.layout().segment(Area::Comm,
                                              donationRequester_).base + 4;
     if (donationRec_ == kNoAddr) {
-        if (goalList_.size() < std::max(emu_.config().donateThreshold,
-                                        1u)) {
+        if (goalList_.size() < kDonateThreshold) {
             // Decline: write sender id first, then the flag word the
             // requester polls (issue order is completion order here).
             mem(MemOp::W, reply + 1, Area::Comm, pe_);
@@ -537,9 +546,8 @@ Machine::doDonation()
 void
 Machine::stepIdle()
 {
-    const std::uint32_t spin = emu_.config().idleSpinCycles;
     if (emu_.config().numPes <= 1) {
-        emu_.sys_->advanceClock(pe_, spin);
+        emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
         return;
     }
     if (stealOutstanding_) {
@@ -547,7 +555,7 @@ Machine::stepIdle()
         if (stalled_)
             return;
         if (value == 0) {
-            emu_.sys_->advanceClock(pe_, spin);
+            emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
             return;
         }
         if (value == 1) { // declined
@@ -562,7 +570,7 @@ Machine::stepIdle()
             // request/decline traffic.
             nextRequestAt_ = emu_.sys_->clock(pe_) + stealBackoff_;
             stealBackoff_ = std::min<Cycles>(stealBackoff_ * 2, 4096);
-            emu_.sys_->advanceClock(pe_, spin);
+            emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
             return;
         }
         // A goal arrived: read the sender id and start consuming it.
@@ -585,7 +593,7 @@ Machine::stepIdle()
     }
     // Send a work request to the next victim (unless backing off).
     if (emu_.sys_->clock(pe_) < nextRequestAt_) {
-        emu_.sys_->advanceClock(pe_, spin);
+        emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
         return;
     }
     const Addr victim_req =
@@ -602,7 +610,7 @@ Machine::stepIdle()
         if (nextVictim_ == pe_)
             nextVictim_ = (nextVictim_ + 1) % emu_.config().numPes;
     }
-    emu_.sys_->advanceClock(pe_, spin);
+    emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
 }
 
 bool

@@ -27,7 +27,8 @@
  * BusStats::totalCycles and per-pattern cycles/transactions match the
  * BusStats breakdown. crossCheck() verifies this against a live
  * BusStats and is enforced always-on by the stress harness and the
- * conformance harness (the PR 2 event-count check's sibling).
+ * conformance harness, so an event emission site that was missed or
+ * fired twice fails the run.
  *
  * The engine observes only; it never perturbs the simulation, so
  * attaching it cannot change any simulated observable.

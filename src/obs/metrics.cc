@@ -31,16 +31,6 @@ Histogram::bucketLow(int i)
 }
 
 void
-Histogram::merge(const Histogram& other)
-{
-    for (int i = 0; i < kNumBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
-}
-
-void
 Histogram::writeJson(JsonWriter& json) const
 {
     json.beginObject();
@@ -78,15 +68,6 @@ MetricsRegistry::histogram(const std::string& name) const
 {
     const auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
-}
-
-void
-MetricsRegistry::merge(const MetricsRegistry& other)
-{
-    for (const auto& [name, value] : other.counters_)
-        counters_[name] += value;
-    for (const auto& [name, histogram] : other.histograms_)
-        histograms_[name].merge(histogram);
 }
 
 void

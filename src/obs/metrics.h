@@ -6,8 +6,8 @@
  * into named counters and fixed-bucket histograms instead of recording
  * them individually: bus-acquisition latency, lock-wait durations, the
  * cache-to-cache vs memory fill share, and per-area miss latency. It is
- * cheap enough to stay attached for whole stress runs (the histograms are
- * fixed arrays; nothing grows with simulated time except the counters'
+ * cheap enough to stay attached for whole runs (the histograms are fixed
+ * arrays; nothing grows with simulated time except the counters'
  * values), and writeJson() serializes everything for offline analysis.
  */
 
@@ -47,9 +47,6 @@ class Histogram
     /** Inclusive lower bound of bucket @p i (0, 1, 2, 4, ...). */
     static std::uint64_t bucketLow(int i);
 
-    /** Fold @p other into this histogram (exact: buckets align). */
-    void merge(const Histogram& other);
-
     /** Serialize as {count, sum, max, mean, buckets: [...]}. */
     void writeJson(JsonWriter& json) const;
 
@@ -71,24 +68,6 @@ class MetricsRegistry final : public EventSink
 
     /** Histogram by name (nullptr if never recorded to). */
     const Histogram* histogram(const std::string& name) const;
-
-    const std::map<std::string, std::uint64_t>& counters() const
-    {
-        return counters_;
-    }
-
-    /**
-     * Fold @p other's counters and histograms into this registry.
-     *
-     * This is the sweep engine's aggregation model ("thread-safe by
-     * isolation", DESIGN.md "Threading model"): every parallel task owns
-     * a private registry, and the runner merges them single-threaded
-     * after the pool joins, in task order — so the merged totals are
-     * independent of worker count and scheduling. The registry itself
-     * is deliberately not locked. Transient per-access state (park
-     * timestamps, fill flags) is not merged; merge completed runs only.
-     */
-    void merge(const MetricsRegistry& other);
 
     /** Serialize all counters and histograms as one JSON object. */
     void writeJson(JsonWriter& json) const;

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "obs/attribution.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/ref_source.h"
 #include "sim/system.h"
@@ -224,8 +223,6 @@ StressConfig::replayLine() const
         << " --livelock-retries=" << watchdog.livelockRetries;
     if (!planSpec.empty())
         out << " --plan=" << planSpec;
-    if (!audit)
-        out << " --no-audit";
     if (clusterSize != 0)
         out << " --cluster-size=" << clusterSize
             << " --hop-cycles=" << hopCycles;
@@ -271,26 +268,19 @@ runStress(const StressConfig& config)
     // into the catch below instead of wedging the caller's worker.
     RunGuard guard(config.timeoutSeconds > 0
                        ? Deadline::afterSeconds(config.timeoutSeconds)
-                       : Deadline::never(),
-                   config.cancel);
-    if (config.timeoutSeconds > 0 || config.cancel != nullptr)
+                       : Deadline::never());
+    if (config.timeoutSeconds > 0)
         system.setRunGuard(&guard);
 
     CoherenceAuditor auditor(system);
-    if (config.audit)
-        system.addAccessObserver(&auditor);
+    system.addAccessObserver(&auditor);
     LockWatchdog watchdog(system, config.watchdog);
     system.addAccessObserver(&watchdog);
 
-    // Observability: the metrics registry always rides along (it is the
-    // event-hook cross-check below); the timeline recorder only when a
-    // dump could be wanted (it records every event individually).
-    MetricsRegistry metrics;
-    system.addEventSink(&metrics);
-    // The attribution engine always rides along too: its bucket-sum
-    // cross-check below is the cycle-level sibling of the transaction
-    // count check, and must hold on every run, not only when a dump was
-    // requested.
+    // Observability: the attribution engine always rides along, because
+    // its cross-check below must hold on every run, not only when a dump
+    // was requested; the timeline recorder only when a dump could be
+    // wanted (it records every event individually).
     AttributionEngine attribution(config.numPes, sys_config.timing,
                                   config.blockWords,
                                   config.ways * config.sets);
@@ -315,29 +305,14 @@ runStress(const StressConfig& config)
         result.completedRefs = source.completedRefs();
         result.fingerprint = source.fingerprint();
 
-        if (config.audit)
-            auditor.auditFull();
+        auditor.auditFull();
 
-        // Event-hook cross-check: every bus transaction the stats counted
-        // must have been reported to the event sinks exactly once. A
-        // mismatch means an emission site was missed (or fired twice) —
-        // the observability layer is lying about the run.
-        std::uint64_t trans_by_stats = 0;
-        for (int p = 0; p < kNumBusPatterns; ++p)
-            trans_by_stats += system.bus().stats().transByPattern[p];
-        const std::uint64_t trans_by_events =
-            metrics.counter("bus.transactions");
-        if (trans_by_events != trans_by_stats) {
-            throw PIM_SIM_FAULT(
-                SimFaultKind::Protocol, "event-hook cross-check: BusStats "
-                "counted ", trans_by_stats, " transactions but the event "
-                "sink observed ", trans_by_events);
-        }
-
-        // Attribution cross-check (the cycle-level sibling): every bus
-        // cycle must land in exactly one cause bucket, and every miss in
-        // exactly one class. A mismatch means the attribution engine
-        // misread the event stream — its reports would be lying.
+        // Attribution cross-check: every bus transaction and cycle the
+        // stats counted must reach exactly one pattern and cause bucket,
+        // and every miss exactly one class. A mismatch means an event
+        // emission site was missed or fired twice, or the engine misread
+        // the event stream: the observability layer is lying about the
+        // run.
         const std::string attr_error =
             attribution.crossCheck(system.bus().stats());
         if (!attr_error.empty()) {

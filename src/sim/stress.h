@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/sim_fault.h"
 #include "trace/ref.h"
 #include "verify/lock_watchdog.h"
@@ -58,7 +57,6 @@ struct StressConfig {
      * the simulation, so it is not part of the replay line.
      */
     std::string attributionOut;
-    bool audit = true;           ///< Attach the CoherenceAuditor.
     /**
      * Clustered bus topology (docs/ARCHITECTURE.md): PEs per cluster
      * (0 = single bus) and the interconnect hop cost. Timing-only, but
@@ -75,8 +73,6 @@ struct StressConfig {
      * run without the budget reproduces the full simulation.
      */
     double timeoutSeconds = 0;
-    /** Optional cooperative cancel (not owned; may be tripped remotely). */
-    const CancelToken* cancel = nullptr;
     WatchdogConfig watchdog;
 
     /** Geometry as "BxWxS" (e.g. "4x2x64"). */

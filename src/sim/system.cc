@@ -128,10 +128,10 @@ System::access(PeId pe, MemOp op, Addr addr, Area area, Word wdata)
     PIM_ASSERT(pe < config_.numPes);
     PIM_ASSERT(!parked(pe), "pe", pe, " stepped while busy-waiting");
 
-    // Cooperative deadline/cancellation: polled before any state
-    // changes, so a Timeout/Cancelled fault never leaves a half-done
-    // access behind. The poll is a counter increment except on every
-    // stride-th reference (common/deadline.h).
+    // Cooperative deadline: polled before any state changes, so a
+    // Timeout fault never leaves a half-done access behind. The poll is
+    // a counter increment except on every stride-th reference
+    // (common/deadline.h).
     if (guard_ != nullptr)
         guard_->poll();
 

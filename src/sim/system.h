@@ -192,7 +192,7 @@ class System : public UnlockListener
     /**
      * Attach a cooperative run guard (nullptr to detach): every access
      * polls it, so a hung or livelocked drive loop raises
-     * SimFault(Timeout/Cancelled) out of access() instead of wedging
+     * SimFault(Timeout) out of access() instead of wedging
      * the caller forever (docs/ROBUSTNESS.md). The caller keeps
      * ownership; the guard must outlive its attachment.
      */
@@ -272,7 +272,7 @@ class System : public UnlockListener
     std::function<void(const MemRef&)> refObserver_;
     std::vector<AccessObserver*> observers_;
     FaultInjector* injector_ = nullptr;
-    RunGuard* guard_ = nullptr; ///< Deadline/cancel poll (may be null).
+    RunGuard* guard_ = nullptr; ///< Deadline poll (may be null).
     MultiSink sinkMux_;
     EventSink* sink_ = nullptr; ///< &sinkMux_ once a sink registered.
 };

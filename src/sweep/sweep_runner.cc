@@ -24,6 +24,9 @@ namespace {
 
 namespace bench = pim::kl1::bench;
 
+/** Ceiling for one retry backoff sleep. */
+constexpr std::uint64_t kBackoffCapMs = 5000;
+
 /**
  * Per-task cost in CPU seconds of the calling thread, not wall time:
  * when workers outnumber cores a descheduled task accrues no cost, so
@@ -500,11 +503,9 @@ retryBackoffMs(const RetryPolicy& policy, std::uint32_t retry_index)
     if (retry_index == 0)
         return 0;
     std::uint64_t ms = policy.backoffBaseMs;
-    for (std::uint32_t i = 1;
-         i < retry_index && ms < policy.backoffCapMs; ++i)
+    for (std::uint32_t i = 1; i < retry_index && ms < kBackoffCapMs; ++i)
         ms *= 2;
-    return static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(ms, policy.backoffCapMs));
+    return static_cast<std::uint32_t>(std::min(ms, kBackoffCapMs));
 }
 
 void

@@ -6,7 +6,7 @@
  * (docs/EXPERIMENTS.md).
  *
  * Determinism contract: every task owns its whole simulation stack
- * (System/Emulator, MetricsRegistry, RNG derived from the task's grid
+ * (System/Emulator, event sinks, RNG derived from the task's grid
  * index), results land in a slot pre-assigned by task index, and all
  * aggregation runs single-threaded after the pool joins — so the SWEEP
  * document is byte-identical for any --jobs value. Wall-clock
@@ -54,10 +54,12 @@ struct SweepRow {
 struct RetryPolicy {
     std::uint32_t retries = 2;      ///< Extra attempts after the first.
     std::uint32_t backoffBaseMs = 100; ///< First backoff; doubles per retry.
-    std::uint32_t backoffCapMs = 5000; ///< Ceiling for one backoff sleep.
 };
 
-/** Backoff before retry @p retry_index (1-based): base * 2^(i-1), capped. */
+/**
+ * Backoff before retry @p retry_index (1-based): base * 2^(i-1), capped
+ * at 5000 ms.
+ */
 std::uint32_t retryBackoffMs(const RetryPolicy& policy,
                              std::uint32_t retry_index);
 

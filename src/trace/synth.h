@@ -3,8 +3,9 @@
  * Synthetic multi-PE reference-stream generators.
  *
  * Used by unit tests, property tests, the cache_explorer example and the
- * microbenchmarks. Each builder returns a fully interleaved trace
- * (vector of MemRef) that can be replayed through sim::TraceReplay.
+ * trace-driven bench binaries. Each builder returns a fully interleaved
+ * trace (vector of MemRef) that can be replayed through
+ * sim::TraceReplay.
  */
 
 #ifndef PIMCACHE_TRACE_SYNTH_H_

@@ -9,6 +9,10 @@
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
+#include "kl1/compiler.h"
+#include "kl1/parser.h"
+#include "verify/coherence_auditor.h"
+#include "verify/lock_watchdog.h"
 
 namespace pim::kl1::bench {
 namespace {
@@ -124,11 +128,42 @@ TEST(BenchPrograms, AnswersIndependentOfPolicy)
     }
 }
 
+/**
+ * The real KL1 reference streams under the coherence auditor and the
+ * lock watchdog: every access of every benchmark is checked against the
+ * protocol invariants and a shadow memory, including the DW/ER/RP/RI
+ * software contracts, on an invalidation and an update protocol.
+ */
 TEST(BenchPrograms, ContractHolds)
 {
-    for (const BenchProgram& bench : allBenchmarks()) {
-        const BenchResult result = runBenchmark(bench, 1, testConfig());
-        EXPECT_EQ(result.bus.staleFetches, 0u) << bench.name;
+    for (const ProtocolKind protocol :
+         {ProtocolKind::PIM, ProtocolKind::Dragon}) {
+        for (const std::uint32_t pes : {2u, 8u}) {
+            Kl1Config config = testConfig(pes);
+            config.cache.protocol = protocol;
+            for (const BenchProgram& bench : allBenchmarks()) {
+                SCOPED_TRACE(bench.name + " on " + std::to_string(pes) +
+                             " PEs, " + protocolKindName(protocol));
+                Emulator emu(compileProgram(parseProgram(bench.source)),
+                             config);
+                CoherenceAuditor auditor(emu.system());
+                emu.system().addAccessObserver(&auditor);
+                LockWatchdog watchdog(emu.system(), WatchdogConfig{});
+                emu.system().addAccessObserver(&watchdog);
+
+                emu.run(bench.query(1));
+                auditor.auditFull();
+
+                EXPECT_GT(auditor.checksRun(), 0u);
+                EXPECT_EQ(emu.system().bus().stats().staleFetches, 0u);
+                std::string answer;
+                for (const auto& [name, value] : emu.queryBindings()) {
+                    if (name == "R")
+                        answer = value;
+                }
+                EXPECT_EQ(answer, bench.expected(1));
+            }
+        }
     }
 }
 

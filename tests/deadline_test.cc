@@ -1,7 +1,6 @@
-// Cooperative cancellation/deadline facility (docs/ROBUSTNESS.md):
-// CancelToken, wall-clock Deadline, the strided RunGuard polled from
-// System::access, the transient-fault taxonomy and the family exit
-// codes the bench binaries report.
+// Deadline facility (docs/ROBUSTNESS.md): wall-clock Deadline, the
+// strided RunGuard polled from System::access, the transient-fault
+// taxonomy and the family exit codes the bench binaries report.
 
 #include <gtest/gtest.h>
 
@@ -10,16 +9,6 @@
 
 namespace pim {
 namespace {
-
-TEST(CancelToken, StartsClearAndLatches)
-{
-    CancelToken token;
-    EXPECT_FALSE(token.cancelled());
-    token.cancel();
-    EXPECT_TRUE(token.cancelled());
-    token.cancel(); // idempotent
-    EXPECT_TRUE(token.cancelled());
-}
 
 TEST(Deadline, DefaultIsUnlimited)
 {
@@ -66,7 +55,7 @@ TEST(RunGuard, UnlimitedGuardPollsForFree)
 
 TEST(RunGuard, ExpiredDeadlineThrowsTimeoutAtStrideBoundary)
 {
-    RunGuard guard(Deadline::afterSeconds(1e-9), nullptr, /*stride=*/64);
+    RunGuard guard(Deadline::afterSeconds(1e-9), /*stride=*/64);
     while (!Deadline::afterSeconds(0).expired()) {
     }
     // The clock check only happens every `stride` polls: the first 63
@@ -82,27 +71,11 @@ TEST(RunGuard, ExpiredDeadlineThrowsTimeoutAtStrideBoundary)
     EXPECT_TRUE(guard.tripped());
 }
 
-TEST(RunGuard, CancelledTokenThrowsCancelled)
-{
-    CancelToken token;
-    RunGuard guard(Deadline::never(), &token, /*stride=*/1);
-    EXPECT_NO_THROW(guard.poll());
-    token.cancel();
-    try {
-        guard.poll();
-        FAIL() << "expected SimFault(Cancelled)";
-    } catch (const SimFault& fault) {
-        EXPECT_EQ(fault.kind(), SimFaultKind::Cancelled);
-    }
-}
-
 TEST(RunGuard, StrideRoundsUpToPowerOfTwo)
 {
-    CancelToken token;
-    token.cancel();
-    // stride=100 rounds up to 128: the guard must not trip before the
-    // 128th poll and must trip exactly there.
-    RunGuard guard(Deadline::never(), &token, /*stride=*/100);
+    // stride=100 rounds up to 128: the already-expired guard must not
+    // trip before the 128th poll and must trip exactly there.
+    RunGuard guard(Deadline::afterSeconds(0), /*stride=*/100);
     for (int i = 0; i < 127; ++i)
         EXPECT_NO_THROW(guard.poll());
     EXPECT_THROW(guard.poll(), SimFault);
@@ -121,7 +94,6 @@ TEST(SimFaultKinds, TimeoutIsTheOnlyTransientKind)
 TEST(SimFaultKinds, NewKindsHaveNames)
 {
     EXPECT_STREQ(simFaultKindName(SimFaultKind::Timeout), "timeout");
-    EXPECT_STREQ(simFaultKindName(SimFaultKind::Cancelled), "cancelled");
 }
 
 TEST(SimFaultKinds, ExitCodesGroupByFamily)
@@ -134,7 +106,6 @@ TEST(SimFaultKinds, ExitCodesGroupByFamily)
     EXPECT_EQ(simFaultExitCode(SimFaultKind::Livelock), 13);
     EXPECT_EQ(simFaultExitCode(SimFaultKind::Starvation), 13);
     EXPECT_EQ(simFaultExitCode(SimFaultKind::Timeout), 14);
-    EXPECT_EQ(simFaultExitCode(SimFaultKind::Cancelled), 14);
 }
 
 } // namespace

@@ -243,66 +243,6 @@ TEST(Metrics, ClearResets)
     EXPECT_EQ(metrics.histogram("bus.acquire_wait_cycles"), nullptr);
 }
 
-TEST(Histogram, MergeAddsBucketsCountSumMax)
-{
-    Histogram a;
-    a.record(1);
-    a.record(4);
-    Histogram b;
-    b.record(4);
-    b.record(1u << 20);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 4u);
-    EXPECT_EQ(a.sum(), 1u + 4 + 4 + (1u << 20));
-    EXPECT_EQ(a.max(), 1u << 20);
-    EXPECT_EQ(a.bucket(1), 1u); // [1, 2)
-    EXPECT_EQ(a.bucket(3), 2u); // [4, 8) from both sides
-}
-
-/**
- * The sweep aggregation model: two isolated runs, each into its own
- * registry, merged afterwards — totals must equal one registry that
- * saw both runs.
- */
-TEST(Metrics, MergeEqualsSharedRegistry)
-{
-    MetricsRegistry first, second, merged;
-    {
-        System sys(smallSystem());
-        MetricsRegistry both;
-        sys.addEventSink(&first);
-        sys.addEventSink(&both);
-        driveWorkload(sys);
-        merged.merge(both);
-    }
-    {
-        // A different, smaller workload so the two registries disagree.
-        System sys(smallSystem());
-        MetricsRegistry both;
-        sys.addEventSink(&second);
-        sys.addEventSink(&both);
-        for (Addr a = 0; a < 64; ++a)
-            sys.access(a % 2, a % 3 == 0 ? MemOp::W : MemOp::R, a,
-                       Area::Heap, a);
-        merged.merge(both);
-    }
-
-    MetricsRegistry folded;
-    folded.merge(first);
-    folded.merge(second);
-    EXPECT_EQ(folded.counters(), merged.counters());
-    for (const auto& [name, count] : folded.counters()) {
-        EXPECT_EQ(folded.counter(name),
-                  first.counter(name) + second.counter(name))
-            << name;
-    }
-    const Histogram* h = folded.histogram("bus.acquire_wait_cycles");
-    ASSERT_NE(h, nullptr);
-    EXPECT_EQ(h->count(),
-              first.histogram("bus.acquire_wait_cycles")->count() +
-                  second.histogram("bus.acquire_wait_cycles")->count());
-}
-
 // ------------------------------------------------------------ Timeline
 
 TEST(Timeline, RoundTripWellFormed)

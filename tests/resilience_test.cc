@@ -43,7 +43,6 @@ TEST(RetryBackoff, DoublesFromBaseAndCaps)
 {
     RetryPolicy policy;
     policy.backoffBaseMs = 100;
-    policy.backoffCapMs = 5000;
     EXPECT_EQ(retryBackoffMs(policy, 0), 0u);
     EXPECT_EQ(retryBackoffMs(policy, 1), 100u);
     EXPECT_EQ(retryBackoffMs(policy, 2), 200u);
