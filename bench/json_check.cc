@@ -9,13 +9,11 @@
  * --schema=NAME prepends a built-in required-path set for the
  * repository's standard documents: `bench` (a table binary's --json
  * report), `sweep` (pim_sweep's SWEEP.json, docs/EXPERIMENTS.md),
- * `sweep-perf` (its SWEEP.perf.json engine-throughput sidecar), `perf`
- * (pim_perf's BENCH_perf.json simulator-throughput report),
- * `campaign` (pim_soak's CAMPAIGN.json, docs/ROBUSTNESS.md),
- * `attribution` (the miss/cycle attribution report,
- * docs/OBSERVABILITY.md) and `history` (pim_report's
- * BENCH_HISTORY.jsonl ledger — JSONL, so each line is validated as its
- * own document). Explicit --require paths are checked in addition.
+ * `sweep-perf` (its SWEEP.perf.json engine-throughput sidecar), `zoo`
+ * (fig_zoo's protocol x replacement report), `campaign` (pim_soak's
+ * CAMPAIGN.json, docs/ROBUSTNESS.md) and `attribution` (the miss/cycle
+ * attribution report, docs/OBSERVABILITY.md). Explicit --require paths
+ * are checked in addition.
  *
  * Exit codes: 0 = all files parse and all required paths resolve;
  * 1 = a parse failure or a missing path. Used by the ctest `obs` and
@@ -23,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -43,8 +40,7 @@ usage()
         "  Parses each FILE as JSON and verifies every --require dotted\n"
         "  path resolves (numeric segments index arrays).\n"
         "  --schema adds a built-in path set: bench, sweep, sweep-perf,\n"
-        "  perf, zoo, campaign, attribution, history (history validates\n"
-        "  each JSONL line as its own document).\n");
+        "  zoo, campaign, attribution.\n");
 }
 
 /** Built-in required paths for @p schema; false if unknown. */
@@ -122,11 +118,6 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
                 "cross_check.match"};
         return true;
     }
-    if (schema == "history") {
-        // One pim_report ledger record (each JSONL line is one doc).
-        *out = {"seq", "stamp", "label", "inputs", "metrics"};
-        return true;
-    }
     if (schema == "zoo") {
         // fig_zoo's protocol x replacement comparison report.
         *out = {"name",
@@ -141,24 +132,6 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
                 "rows.0.repl_rel_fifo",
                 "rows.0.repl_rel_random",
                 "rows.0.updates_dragon"};
-        return true;
-    }
-    if (schema == "perf") {
-        // pim_perf's BENCH_perf.json throughput report (one row per PE
-        // point).
-        *out = {"name",
-                "scale",
-                "pes",
-                "rows.0.bench",
-                "rows.0.pes_point",
-                "rows.0.refs",
-                "rows.0.refs_per_sec",
-                "rows.0.cycles_per_ref",
-                "rows.0.bus_transactions",
-                "rows.0.fingerprint",
-                "rows.0.cluster_size",
-                "rows.0.hop_cycles",
-                "rows.0.inter_cluster_cycles"};
         return true;
     }
     return false;
@@ -183,8 +156,8 @@ main(int argc, char** argv)
         if (!schemaPaths(schema, &required)) {
             std::fprintf(stderr,
                          "json_check: unknown schema '%s' (expected "
-                         "bench, sweep, sweep-perf, perf, zoo, "
-                         "campaign, attribution or history)\n",
+                         "bench, sweep, sweep-perf, zoo, campaign "
+                         "or attribution)\n",
                          schema.c_str());
             return 1;
         }
@@ -196,60 +169,8 @@ main(int argc, char** argv)
             required.push_back(arg.substr(prefix.size()));
     }
 
-    const bool jsonl = opts.getString("schema", "") == "history";
-
     int failures = 0;
     for (const std::string& path : opts.positional()) {
-        if (jsonl) {
-            // A ledger is JSONL: every non-blank line is one record and
-            // must satisfy the schema on its own.
-            std::ifstream in(path, std::ios::binary);
-            if (!in) {
-                std::fprintf(stderr, "json_check: %s: cannot open\n",
-                             path.c_str());
-                ++failures;
-                continue;
-            }
-            std::string line;
-            std::size_t line_no = 0;
-            std::size_t records = 0;
-            int bad = 0;
-            while (std::getline(in, line)) {
-                ++line_no;
-                if (line.find_first_not_of(" \t\r") == std::string::npos)
-                    continue;
-                ++records;
-                JsonValue rec;
-                try {
-                    rec = JsonValue::parse(line);
-                } catch (const SimFault& fault) {
-                    std::fprintf(stderr, "json_check: %s:%zu: %s\n",
-                                 path.c_str(), line_no, fault.what());
-                    ++bad;
-                    continue;
-                }
-                for (const std::string& req : required) {
-                    if (rec.findPath(req) == nullptr) {
-                        std::fprintf(stderr,
-                                     "json_check: %s:%zu: missing "
-                                     "required path '%s'\n",
-                                     path.c_str(), line_no, req.c_str());
-                        ++bad;
-                    }
-                }
-            }
-            if (records == 0) {
-                std::fprintf(stderr, "json_check: %s: no records\n",
-                             path.c_str());
-                ++bad;
-            }
-            failures += bad;
-            if (bad == 0) {
-                std::printf("json_check: %s: ok (%zu ledger records)\n",
-                            path.c_str(), records);
-            }
-            continue;
-        }
         JsonValue doc;
         try {
             doc = JsonValue::parseFile(path);

@@ -210,7 +210,8 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown("pim_soak", argc, argv, kKnownFlags)) {
+    if (!flagsAreKnown("pim_soak", argc, argv, kKnownFlags) ||
+        !countsAreNonNegative("pim_soak", opts, {"jobs", "seeds"})) {
         usage();
         return 1;
     }
@@ -276,7 +277,7 @@ main(int argc, char** argv)
         options.timeoutSeconds = opts.getDouble("timeout", 60);
 
         std::printf("== soak %s: %zu plans x %u seeds = %zu cells on "
-                    "%u workers ==\n",
+                    "up to %u workers ==\n",
                     spec.name.c_str(), num_plans, seeds,
                     spec.totalTasks(), options.jobs);
 

@@ -85,7 +85,8 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown("pim_stress", argc, argv, kKnownFlags)) {
+    if (!flagsAreKnown("pim_stress", argc, argv, kKnownFlags) ||
+        !countsAreNonNegative("pim_stress", opts, {"jobs", "seeds"})) {
         usage();
         return 1;
     }

@@ -88,7 +88,8 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown("pim_sweep", argc, argv, kKnownFlags)) {
+    if (!flagsAreKnown("pim_sweep", argc, argv, kKnownFlags) ||
+        !countsAreNonNegative("pim_sweep", opts, {"jobs"})) {
         usage();
         return 1;
     }
@@ -130,7 +131,7 @@ main(int argc, char** argv)
             return 0;
         }
 
-        std::printf("== sweep %s: %zu tasks on %u workers ==\n",
+        std::printf("== sweep %s: %zu tasks on up to %u workers ==\n",
                     spec.name.c_str(), spec.totalTasks(),
                     options.jobs == 0 ? ThreadPool::defaultWorkers()
                                       : options.jobs);

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Documentation link checker (docs/TESTING.md): every relative markdown
 # link and every `src/...` / `bench/...` / `scripts/...` / `tests/...`
-# path mentioned in README.md and docs/*.md must exist in the tree,
-# every backticked `Class::member` must name a member that still
-# appears in the code, every backticked bare `CamelCase` type name
-# must still appear in the code, and every `--flag` in a backticked
-# command must still be parsed by some tool, so the docs cannot
-# silently rot as files move or APIs and flags are renamed and deleted.
+# path mentioned in the docs must exist in the tree, every backticked
+# `Class::member` must name a member that still appears in the code,
+# every backticked bare `CamelCase` type name must still appear in the
+# code, every `--flag` in a backticked command must still be parsed by
+# some tool, every backticked `pim_<name>` must still be a CMake target,
+# and every ctest label the docs name must still be set on some test,
+# so the docs cannot silently rot as files move or APIs, flags, tools
+# and labels are renamed and deleted.
 #
-#   scripts/check_docs.sh         # check README.md and docs/*.md
+#   scripts/check_docs.sh    # README.md, DESIGN.md, EXPERIMENTS.md,
+#                            # docs/*.md and the verify skill
 #
 # Exits non-zero listing every stale reference. Absolute URLs
 # (http/https) and intra-page #anchors are ignored.
@@ -18,6 +21,11 @@ cd "$(dirname "$0")/.."
 
 fail=0
 code_dirs=(src bench tests examples perfbench)
+targets=$(find "${code_dirs[@]}" -name CMakeLists.txt -exec grep -hoE \
+    '(add_executable|add_library|pim_add_bench|pim_add_example|pim_add_test)\( *[A-Za-z0-9_]+' {} + \
+    | sed -E 's/.*\( *//' | sort -u)
+labels=$(grep -oE 'LABELS +[A-Za-z0-9_-]+' tests/CMakeLists.txt \
+    | sed -E 's/LABELS +//' | sort -u)
 complain() {
     echo "check_docs: $1: stale reference: $2" >&2
     fail=1
@@ -43,9 +51,10 @@ check_file() {
 
     # Bare tree paths: src/..., bench/..., scripts/..., tests/...
     # mentioned in prose or code spans must name real files/dirs. A tool
-    # mentioned by binary name (bench/pim_perf) resolves through its
-    # source file (bench/pim_perf.cc). Wildcard mentions (src/*.cc) and
-    # build-directory invocations (build/bench/...) are ignored.
+    # mentioned by binary name (bench/pim_stress) resolves through its
+    # source file (bench/pim_stress.cc). Wildcard mentions (src/*.cc,
+    # tests/bus_*) and build-directory invocations (build/bench/...) are
+    # ignored.
     while IFS= read -r path; do
         case "${path}" in
           *\**) continue ;;
@@ -57,7 +66,7 @@ check_file() {
                && [ ! -e "${path}.h" ]; then
             complain "${doc}" "path ${path}"
         fi
-    done < <(grep -oE '\b(src|bench|scripts|tests)/[A-Za-z0-9_./-]+' \
+    done < <(grep -oE '\b(src|bench|scripts|tests)/[A-Za-z0-9_./*-]+' \
                   "${doc}" | sed -E 's/[.,;:]+$//' | sort -u)
 
     # Backticked API names: `Class::member` (or `ns::Class::member`).
@@ -90,9 +99,31 @@ check_file() {
                   | grep -vE '^`(cmake|ctest|python3|git|gcovr)[ `]' \
                   | grep -oE -- '--[a-z][a-z0-9-]*' | sed -E 's/^--//' \
                   | sort -u)
+
+    # Backticked tool names: a code span that starts with `pim_<name>`
+    # (bare, or after bench/ or ./build*/bench/) and ends or continues
+    # with a space must name a CMake target.
+    while IFS= read -r tool; do
+        if ! grep -qxF -- "${tool}" <<< "${targets}"; then
+            complain "${doc}" "tool ${tool}"
+        fi
+    done < <(grep -oE '`(\./build[A-Za-z0-9_-]*/bench/|bench/)?pim_[A-Za-z0-9_]+[` ]' \
+                  "${doc}" | sed -E 's/^`(.*\/)?//; s/[` ]$//' | sort -u)
+
+    # ctest labels: a label named as `ctest ... -L NAME` or as
+    # "label `NAME`" must be set on some test in tests/CMakeLists.txt.
+    while IFS= read -r label; do
+        if ! grep -qxF -- "${label}" <<< "${labels}"; then
+            complain "${doc}" "label ${label}"
+        fi
+    done < <({ grep -oE '`ctest [^`]*-L +[A-Za-z0-9_-]+' "${doc}" \
+                   | sed -E 's/.*-L +//'
+               grep -oiE 'label `[A-Za-z0-9_-]+`' "${doc}" \
+                   | sed -E 's/.*`(.*)`/\1/'; } | sort -u)
 }
 
-for doc in README.md docs/*.md; do
+for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md \
+           .claude/skills/verify/SKILL.md; do
     check_file "${doc}"
 done
 
@@ -100,4 +131,4 @@ if [ "${fail}" -ne 0 ]; then
     echo "check_docs: FAILED" >&2
     exit 1
 fi
-echo "check_docs: all references in README.md and docs/*.md resolve"
+echo "check_docs: all references in the docs resolve"

@@ -24,16 +24,6 @@ run_leg() {
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" ${CTEST_ARGS})
 }
 
-# Simulator-throughput smoke (docs/PERFORMANCE.md): one row per PE
-# point, checked against the BENCH_perf.json schema. Wall-clock is not
-# asserted — CI wall-clock is noise.
-perf_smoke() {
-    local dir="build-release"
-    echo "=== perf smoke (${dir}) ==="
-    "${dir}/bench/pim_perf" --smoke --json="${dir}/BENCH_perf.json"
-    "${dir}/bench/json_check" --schema=perf "${dir}/BENCH_perf.json"
-}
-
 # End-to-end simulator benchmark self-test (perfbench/README.md): every
 # BENCHMARK.json workload at tiny sizes, untraced and traced, must run
 # correctly, print exactly its declared metrics and repeat every exact
@@ -44,21 +34,14 @@ perfbench_smoke() {
 }
 
 # Clustered-topology gate (docs/ARCHITECTURE.md): a deeper clustered
-# conformance fuzz than the ctest `cluster` label runs, plus the
-# 128-PE clustered perf smoke with its JSON schema check. Exercises
-# the inter-cluster routes read off the residency masks, hop
-# accounting and the residency-mask walk at a scale the unit tests
-# keep short.
+# conformance fuzz than the ctest `cluster` label runs. Exercises the
+# inter-cluster routes read off the residency masks, hop accounting and
+# the residency-mask walk at a scale the unit tests keep short.
 cluster_smoke() {
     local dir="build-release"
     echo "=== cluster smoke (${dir}) ==="
     "${dir}/bench/pim_conform" --fuzz --pes=8 --blocks=2 --sets=2 \
         --seed=11 --traces=40 --len=200 --cluster-size=2
-    "${dir}/bench/pim_perf" --smoke --pes=128 --cluster-size=16 \
-        --hop-cycles=2 --json="${dir}/BENCH_perf_clustered.json"
-    "${dir}/bench/json_check" --schema=perf \
-        --require=rows.0.inter_cluster_cycles \
-        "${dir}/BENCH_perf_clustered.json"
 }
 
 # Protocol & replacement-policy zoo gate (docs/ARCHITECTURE.md
@@ -90,28 +73,6 @@ soak_smoke() {
     "${dir}/bench/json_check" --schema=campaign "${dir}/soak/CAMPAIGN.json"
 }
 
-# Perf regression ledger (docs/OBSERVABILITY.md): feed the perf smoke
-# and a sweep smoke through pim_report against the repo-root
-# BENCH_HISTORY.jsonl. The first CI run seeds the baseline; later runs
-# gate against the previous record (exit 3 = regression, fails the leg).
-# The run's attribution document is schema-checked alongside.
-report_gate() {
-    local dir="build-release"
-    echo "=== report gate (${dir}) ==="
-    "${dir}/bench/pim_sweep" --spec=smoke --jobs=2 --out="${dir}/sweep"
-    "${dir}/bench/pim_stress" --seed=1 --steps=50000 --lock-pct=20 \
-        --attribution-out="${dir}/ATTRIBUTION.json"
-    "${dir}/bench/json_check" --schema=attribution "${dir}/ATTRIBUTION.json"
-    "${dir}/bench/pim_report" \
-        "${dir}/BENCH_perf.json" \
-        "${dir}/sweep/SWEEP.json" \
-        "${dir}/sweep/SWEEP.perf.json" \
-        "${dir}/ATTRIBUTION.json" \
-        --history=BENCH_HISTORY.jsonl --label=ci \
-        --out="${dir}/TREND.md"
-    "${dir}/bench/json_check" --schema=history BENCH_HISTORY.jsonl
-}
-
 coverage_report() {
     local dir="build-coverage"
     if command -v gcovr >/dev/null 2>&1; then
@@ -136,12 +97,10 @@ for leg in "${legs[@]}"; do
     case "${leg}" in
       release)
         run_leg release -DCMAKE_BUILD_TYPE=Release
-        perf_smoke
         perfbench_smoke
         cluster_smoke
         zoo_smoke
         soak_smoke
-        report_gate
         ;;
       asan)
         run_leg asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPIM_SANITIZE=ON

@@ -12,6 +12,8 @@
 #define PIMCACHE_COMMON_OPTIONS_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <span>
 #include <string>
@@ -84,6 +86,25 @@ std::int64_t envInt(const char* name, std::int64_t fallback);
  */
 bool flagsAreKnown(const char* tool, int argc, const char* const* argv,
                    std::span<const char* const> known);
+
+/**
+ * True when none of the count flags @p counts (worker or seed counts)
+ * holds a negative value. Otherwise prints "<tool>: --name must be >= 0"
+ * to stderr and returns false: cast to the unsigned count the tool
+ * keeps, -1 would ask for 2^32-1 threads or seeds.
+ */
+inline bool
+countsAreNonNegative(const char* tool, const Options& opts,
+                     std::initializer_list<const char*> counts)
+{
+    for (const char* name : counts) {
+        if (opts.getInt(name, 0) < 0) {
+            std::fprintf(stderr, "%s: --%s must be >= 0\n", tool, name);
+            return false;
+        }
+    }
+    return true;
+}
 
 } // namespace pim
 

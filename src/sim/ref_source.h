@@ -10,7 +10,7 @@
  * System::earliestRunnable), and only then pulls that PE's next
  * operation, so a source drawing every decision from one shared RNG
  * draws in global simulation order and a run is a pure function of its
- * seed. pim_stress and pim_perf both drive their workloads through it.
+ * seed. pim_stress (runStress) drives its workload through it.
  */
 
 #ifndef PIMCACHE_SIM_REF_SOURCE_H_

@@ -370,7 +370,8 @@ std::vector<StressResult>
 runStressBatch(const StressConfig& base, std::uint32_t count, unsigned jobs)
 {
     std::vector<StressResult> results(count);
-    ThreadPool pool(jobs);
+    const unsigned workers = jobs == 0 ? ThreadPool::defaultWorkers() : jobs;
+    ThreadPool pool(std::clamp(workers, 1u, std::max(count, 1u)));
     for (std::uint32_t i = 0; i < count; ++i) {
         pool.submit([&base, &results, i] {
             StressConfig config = base;

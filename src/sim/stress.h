@@ -115,11 +115,11 @@ StressResult runStress(const StressConfig& config);
 /**
  * Run @p count independent stress runs — seeds base.seed ..
  * base.seed+count-1 — fanned out over @p jobs ThreadPool workers
- * (0 = hardware). Each run owns its whole simulation stack, so results
- * are the same as running the seeds one by one: the returned vector is
- * in seed order and every entry's replay line reproduces that run
- * alone. Per-run traceOut/timelineOut paths get a ".seed<N>" suffix so
- * parallel runs never write the same file.
+ * (0 = hardware; never more than @p count). Each run owns its whole
+ * simulation stack, so results are the same as running the seeds one by
+ * one: the returned vector is in seed order and every entry's replay
+ * line reproduces that run alone. Per-run traceOut/timelineOut paths
+ * get a ".seed<N>" suffix so parallel runs never write the same file.
  */
 std::vector<StressResult> runStressBatch(const StressConfig& base,
                                          std::uint32_t count,

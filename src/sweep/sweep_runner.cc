@@ -551,8 +551,6 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     using Clock = std::chrono::steady_clock;
 
     SweepOutcome outcome;
-    outcome.jobs = options.jobs == 0 ? ThreadPool::defaultWorkers()
-                                     : options.jobs;
 
     // Expand the grid up front: rows[i] is task i's pre-assigned slot,
     // so workers never contend and completion order cannot matter.
@@ -592,6 +590,14 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     }
     if (options.maxTasks != 0 && pending.size() > options.maxTasks)
         pending.resize(options.maxTasks);
+
+    // No more workers than pending tasks, and at least one.
+    const std::size_t wanted = options.jobs == 0
+                                   ? ThreadPool::defaultWorkers()
+                                   : options.jobs;
+    outcome.jobs = static_cast<unsigned>(
+        std::clamp<std::size_t>(wanted, 1,
+                                std::max<std::size_t>(pending.size(), 1)));
 
     // Checkpoint plumbing: done flags flip only under the mutex, so the
     // serializer (also under it) never reads a half-filled row.

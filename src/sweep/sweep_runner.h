@@ -128,7 +128,10 @@ struct SweepOutcome {
     std::string sweepJson;      ///< Rendered SWEEP document ("" if partial).
 };
 
-/** Expand @p spec and run every task on @p options.jobs workers. */
+/**
+ * Expand @p spec and run every task on @p options.jobs workers (at most
+ * one per pending task).
+ */
 SweepOutcome runSweep(const SweepSpec& spec, const SweepOptions& options);
 
 /**
