@@ -28,8 +28,7 @@ main(int argc, char** argv)
     using namespace pim;
 
     const Options opts = Options::parse(argc, argv);
-    const std::uint32_t pes =
-        static_cast<std::uint32_t>(opts.getInt("pes", 4));
+    std::uint32_t pes = static_cast<std::uint32_t>(opts.getInt("pes", 4));
     const std::uint32_t block =
         static_cast<std::uint32_t>(opts.getInt("block", 4));
     const std::uint32_t ways =
@@ -45,8 +44,11 @@ main(int argc, char** argv)
         MemRef ref;
         while (reader.next(ref))
             trace.push_back(ref);
+        // The recorded machine's width, not --pes: its references name
+        // every PE it had.
+        pes = reader.numPes();
         std::printf("loaded %zu refs from %s (%u PEs)\n", trace.size(),
-                    trace_in.c_str(), reader.numPes());
+                    trace_in.c_str(), pes);
     } else if (pattern == "random") {
         RandomTrafficConfig config;
         config.numPes = pes;

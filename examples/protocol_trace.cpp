@@ -8,14 +8,12 @@
  *
  *   $ ./protocol_trace
  *   $ ./protocol_trace --timeline-out=handoff.json \
- *         --metrics-out=metrics.json --report-json=report.json \
- *         --attribution-out=attribution.json
+ *         --report-json=report.json --attribution-out=attribution.json
  *
  * The observability flags (docs/OBSERVABILITY.md) record the optimized
- * handoff: a Perfetto-loadable Chrome trace-event timeline, the metrics
- * registry (counters + histograms), the reportAllJson document, and the
- * miss/cycle attribution report (which also lands inside the report
- * document when both flags are given).
+ * handoff: a Perfetto-loadable Chrome trace-event timeline, the
+ * reportAllJson document, and the miss/cycle attribution report (which
+ * also lands inside the report document when both flags are given).
  */
 
 #include <cstdio>
@@ -23,7 +21,6 @@
 
 #include "common/options.h"
 #include "obs/attribution.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/report_json.h"
 #include "sim/system.h"
@@ -64,22 +61,17 @@ runHandoff(bool optimized, const Options& opts)
     // so only it is recorded (both runs start their clocks at zero and
     // would overlap on one timeline).
     TimelineRecorder timeline;
-    MetricsRegistry metrics;
     const auto& geom = config.cache.geometry;
     AttributionEngine attribution(config.numPes, config.timing,
                                   geom.blockWords, geom.ways * geom.sets);
     const std::string timeline_out =
         optimized ? opts.getString("timeline-out", "") : "";
-    const std::string metrics_out =
-        optimized ? opts.getString("metrics-out", "") : "";
     const std::string report_out =
         optimized ? opts.getString("report-json", "") : "";
     const std::string attribution_out =
         optimized ? opts.getString("attribution-out", "") : "";
     if (!timeline_out.empty())
         sys.addEventSink(&timeline);
-    if (!metrics_out.empty())
-        sys.addEventSink(&metrics);
     if (!attribution_out.empty())
         sys.addEventSink(&attribution);
 
@@ -132,8 +124,6 @@ runHandoff(bool optimized, const Options& opts)
                     static_cast<unsigned long long>(timeline.eventCount()),
                     timeline_out.c_str());
     }
-    if (!metrics_out.empty() && metrics.writeFile(metrics_out))
-        std::printf("metrics -> %s\n", metrics_out.c_str());
     if (!attribution_out.empty() &&
         attribution.writeFile(attribution_out, sys.bus().stats())) {
         std::printf("attribution: %llu classified misses -> %s\n",

@@ -6,9 +6,12 @@
 # every backticked bare `CamelCase` type name must still appear in the
 # code, every `--flag` in a backticked command must still be parsed by
 # some tool, every backticked `pim_<name>` must still be a CMake target,
-# and every ctest label the docs name must still be set on some test,
-# so the docs cannot silently rot as files move or APIs, flags, tools
-# and labels are renamed and deleted.
+# every ctest label the docs name must still be set on some test, and
+# every backticked macro, environment-variable or build-option name
+# (`PIM_...`, `REPRO_...`) must still appear in the code, the root
+# CMakeLists.txt or scripts/, so the docs cannot silently rot as files
+# move or APIs, flags, tools, labels, macros and variables are renamed
+# and deleted.
 #
 #   scripts/check_docs.sh    # README.md, DESIGN.md, EXPERIMENTS.md,
 #                            # docs/*.md and the verify skill
@@ -21,6 +24,7 @@ cd "$(dirname "$0")/.."
 
 fail=0
 code_dirs=(src bench tests examples perfbench)
+name_dirs=("${code_dirs[@]}" CMakeLists.txt scripts)
 targets=$(find "${code_dirs[@]}" -name CMakeLists.txt -exec grep -hoE \
     '(add_executable|add_library|pim_add_bench|pim_add_example|pim_add_test)\( *[A-Za-z0-9_]+' {} + \
     | sed -E 's/.*\( *//' | sort -u)
@@ -120,6 +124,17 @@ check_file() {
                    | sed -E 's/.*-L +//'
                grep -oiE 'label `[A-Za-z0-9_-]+`' "${doc}" \
                    | sed -E 's/.*`(.*)`/\1/'; } | sort -u)
+
+    # Macro, environment-variable and build-option names: every
+    # PIM_/REPRO_ token inside a code span (a macro, an environment
+    # assignment, a -D option) must appear as a whole word in the code,
+    # the root CMakeLists.txt or scripts/.
+    while IFS= read -r name; do
+        if ! grep -rqw -- "${name}" "${name_dirs[@]}"; then
+            complain "${doc}" "name ${name}"
+        fi
+    done < <(grep -oE '`[^`]+`' "${doc}" \
+                  | grep -oE '(PIM|REPRO)_[A-Z0-9_]*[A-Z0-9]' | sort -u)
 }
 
 for doc in README.md DESIGN.md EXPERIMENTS.md docs/*.md \

@@ -133,7 +133,7 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
         const Cycles hop =
             routeFor(requester, block_addr, false, true).hop;
         const Cycles cost = timing_.lockRejectCycles();
-        stats_.account(BusPattern::LockReject, cost, area, requester, hop);
+        stats_.account(BusPattern::LockReject, cost, area, hop);
         release(route, start + cost + hop);
         result.lockHit = true;
         result.completeAt = start + cost + hop;
@@ -213,7 +213,7 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
                                : BusPattern::MemFetch;
         cost = timing_.swapInCycles(dirty_victim);
     }
-    stats_.account(pattern, cost, area, requester, route.hop);
+    stats_.account(pattern, cost, area, route.hop);
     // Injected fault: one bit of the transferred block flips on the bus.
     if (injector_ != nullptr && injector_->fire(FaultSite::CorruptWord))
         injector_->flipBit(data_out, timing_.blockWords);
@@ -263,8 +263,7 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
             const Cycles hop =
                 routeFor(requester, block_addr, false, true).hop;
             const Cycles cost = timing_.lockRejectCycles();
-            stats_.account(BusPattern::LockReject, cost, area, requester,
-                           hop);
+            stats_.account(BusPattern::LockReject, cost, area, hop);
             release(route, start + cost + hop);
             result.lockHit = true;
             result.completeAt = start + cost + hop;
@@ -293,8 +292,7 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
             result.droppedDirty = true;
     });
     const Cycles cost = timing_.invalidateCycles();
-    stats_.account(BusPattern::Invalidate, cost, area, requester,
-                   route.hop);
+    stats_.account(BusPattern::Invalidate, cost, area, route.hop);
     release(route, start + cost + route.hop);
     result.completeAt = start + cost + route.hop;
     if (sink_ != nullptr) {
@@ -371,8 +369,7 @@ Bus::swapOutOnly(PeId requester, Addr victim_addr, const Word* data,
     const Cycles start = arbitrate(route, when);
     writeBackData(victim_addr, data);
     const Cycles cost = timing_.swapOutOnlyCycles();
-    stats_.account(BusPattern::SwapOutOnly, cost, area, requester,
-                   route.hop);
+    stats_.account(BusPattern::SwapOutOnly, cost, area, route.hop);
     release(route, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
@@ -403,7 +400,7 @@ Bus::unlockBroadcast(PeId requester, Addr word_addr, Cycles when, Area area)
     const Cycles start = arbitrate(route, when);
     stats_.cmdCounts[static_cast<int>(BusCmd::UL)] += 1;
     const Cycles cost = timing_.unlockCycles();
-    stats_.account(BusPattern::Unlock, cost, area, requester, route.hop);
+    stats_.account(BusPattern::Unlock, cost, area, route.hop);
     release(route, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
@@ -441,7 +438,7 @@ Bus::writeWordThrough(PeId requester, Addr word_addr, Word value,
         ports_[pe].cache->snoopInvalidate(block_addr, start);
     });
     const Cycles cost = timing_.wordWriteCycles();
-    stats_.account(BusPattern::WordWrite, cost, area, requester, route.hop);
+    stats_.account(BusPattern::WordWrite, cost, area, route.hop);
     release(route, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
@@ -473,7 +470,7 @@ Bus::updateWord(PeId requester, Addr word_addr, Word value, Cycles when,
             result.sharerPresent = true;
     });
     const Cycles cost = timing_.wordUpdateCycles();
-    stats_.account(BusPattern::WordUpdate, cost, area, requester, route.hop);
+    stats_.account(BusPattern::WordUpdate, cost, area, route.hop);
     release(route, start + cost + route.hop);
     result.completeAt = start + cost + route.hop;
     if (sink_ != nullptr) {

@@ -112,7 +112,6 @@ struct BusStats {
     Cycles cyclesByPattern[kNumBusPatterns] = {};
     std::uint64_t transByPattern[kNumBusPatterns] = {};
     Cycles cyclesByArea[kNumAreaSlots] = {};
-    Cycles cyclesByPe[64] = {};
     std::uint64_t cmdCounts[kNumBusCmds] = {};
     Cycles totalCycles = 0;
     /** Shared-memory module busy time (fetches + copy-backs). */
@@ -137,14 +136,12 @@ struct BusStats {
     std::uint64_t interClusterHops = 0;
 
     void
-    account(BusPattern pattern, Cycles cycles, Area area, PeId pe,
+    account(BusPattern pattern, Cycles cycles, Area area,
             Cycles hop_cycles = 0)
     {
         cyclesByPattern[static_cast<int>(pattern)] += cycles;
         transByPattern[static_cast<int>(pattern)] += 1;
         cyclesByArea[static_cast<int>(area)] += cycles + hop_cycles;
-        if (pe < 64)
-            cyclesByPe[pe] += cycles + hop_cycles;
         totalCycles += cycles + hop_cycles;
         interClusterCycles += hop_cycles;
         if (hop_cycles != 0)

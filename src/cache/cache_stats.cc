@@ -7,10 +7,6 @@ CacheStats::merge(const CacheStats& other)
 {
     accesses += other.accesses;
     misses += other.misses;
-    for (int a = 0; a < kNumAreaSlots; ++a) {
-        accessesByArea[a] += other.accessesByArea[a];
-        missesByArea[a] += other.missesByArea[a];
-    }
     evictions += other.evictions;
     swapOuts += other.swapOuts;
     lrCount += other.lrCount;
@@ -25,12 +21,10 @@ CacheStats::merge(const CacheStats& other)
     erAsRi += other.erAsRi;
     erAsRp += other.erAsRp;
     erAsR += other.erAsR;
-    rpCount += other.rpCount;
     riCount += other.riCount;
     riExclusive += other.riExclusive;
     purges += other.purges;
     purgedDirty += other.purgedDirty;
-    staleReads += other.staleReads;
 }
 
 } // namespace pim

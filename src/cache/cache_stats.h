@@ -12,9 +12,6 @@
 
 #include <cstdint>
 
-#include "mem/area.h"
-#include "trace/ref.h"
-
 namespace pim {
 
 /** Counters kept by one PE's cache controller. */
@@ -22,8 +19,6 @@ struct CacheStats {
     // -- Generic hit/miss ------------------------------------------------
     std::uint64_t accesses = 0;
     std::uint64_t misses = 0;
-    std::uint64_t accessesByArea[kNumAreaSlots] = {};
-    std::uint64_t missesByArea[kNumAreaSlots] = {};
 
     // -- Replacement -----------------------------------------------------
     std::uint64_t evictions = 0;
@@ -44,16 +39,10 @@ struct CacheStats {
     std::uint64_t erAsRi = 0;         ///< ER case (i): read-invalidate.
     std::uint64_t erAsRp = 0;         ///< ER case (ii): read-purge.
     std::uint64_t erAsR = 0;          ///< ER case (iii): plain read.
-    std::uint64_t rpCount = 0;
     std::uint64_t riCount = 0;
     std::uint64_t riExclusive = 0;    ///< RI that took the block via FI.
     std::uint64_t purges = 0;         ///< Own-copy purges (ER/RP).
     std::uint64_t purgedDirty = 0;    ///< ...that skipped a swap-out.
-
-    // -- Contract checking -------------------------------------------------
-    /** Reads that hit a block previously purged while dirty (the
-     *  write-once/read-once contract was violated by the software). */
-    std::uint64_t staleReads = 0;
 
     /** Fold another PE's counters into this one. */
     void merge(const CacheStats& other);

@@ -215,14 +215,11 @@ PimCache::setState(Block& block, CacheState to, Cycles when)
 }
 
 void
-PimCache::countAccess(const MemRef& ref, bool miss)
+PimCache::countAccess(bool miss)
 {
     stats_.accesses += 1;
-    stats_.accessesByArea[static_cast<int>(ref.area)] += 1;
-    if (miss) {
+    if (miss)
         stats_.misses += 1;
-        stats_.missesByArea[static_cast<int>(ref.area)] += 1;
-    }
 }
 
 PimCache::AccessResult
@@ -269,7 +266,7 @@ PimCache::doRead(const MemRef& ref, Cycles now)
         touchOnHit(*block);
         result.data = blockData(*block)[ref.addr - base];
         result.doneAt = now + kHitCycles;
-        countAccess(ref, false);
+        countAccess(false);
         return result;
     }
     const FetchOutcome outcome =
@@ -292,7 +289,7 @@ PimCache::doRead(const MemRef& ref, Cycles now)
     setState(block, install, outcome.doneAt);
     result.data = blockData(block)[ref.addr - base];
     result.doneAt = outcome.doneAt;
-    countAccess(ref, true);
+    countAccess(true);
     return result;
 }
 
@@ -311,7 +308,7 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
         }
         result.doneAt =
             bus_.writeWordThrough(pe_, ref.addr, wdata, now, ref.area);
-        countAccess(ref, false);
+        countAccess(false);
         return result;
     }
     if (Block* block = findBlock(base)) {
@@ -335,7 +332,7 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
                          upd.completeAt);
                 result.doneAt = upd.completeAt;
             }
-            countAccess(ref, false);
+            countAccess(false);
             return result;
         }
         // Seeded bug WriteSharedSkipsInv: write the shared copy in place
@@ -350,7 +347,7 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
         }
         setState(*block, CacheState::EM, result.doneAt);
         blockData(*block)[ref.addr - base] = wdata;
-        countAccess(ref, false);
+        countAccess(false);
         return result;
     }
     // Write miss: fetch-on-write with invalidation (FI). Dragon instead
@@ -381,7 +378,7 @@ PimCache::doWrite(const MemRef& ref, Word wdata, Cycles now)
         blockData(block)[ref.addr - base] = wdata;
         result.doneAt = outcome.doneAt;
     }
-    countAccess(ref, true);
+    countAccess(true);
     return result;
 }
 
@@ -398,7 +395,7 @@ PimCache::doLockRead(const MemRef& ref, Cycles now)
         touchOnHit(*block);
         result.data = blockData(*block)[ref.addr - base];
         result.doneAt = now + kHitCycles;
-        countAccess(ref, false);
+        countAccess(false);
         stats_.lrCount += 1;
         stats_.lrHit += 1;
         stats_.lrHitExclusive += 1;
@@ -427,7 +424,7 @@ PimCache::doLockRead(const MemRef& ref, Cycles now)
         touchOnHit(*block);
         result.data = blockData(*block)[ref.addr - base];
         result.doneAt = inv.completeAt;
-        countAccess(ref, false);
+        countAccess(false);
         stats_.lrCount += 1;
         stats_.lrHit += 1;
         return result;
@@ -449,7 +446,7 @@ PimCache::doLockRead(const MemRef& ref, Cycles now)
     locks_.acquire(ref.addr, outcome.doneAt);
     result.data = blockData(fetched)[ref.addr - base];
     result.doneAt = outcome.doneAt;
-    countAccess(ref, true);
+    countAccess(true);
     stats_.lrCount += 1;
     return result;
 }
@@ -518,7 +515,7 @@ PimCache::doUnlock(const MemRef& ref, bool write, Word wdata, Cycles now)
         stats_.unlockNoWaiter += 1;
         result.doneAt = std::max(when, now + kHitCycles);
     }
-    countAccess(ref, miss);
+    countAccess(miss);
     return result;
 }
 
@@ -565,7 +562,7 @@ PimCache::doDirectWrite(const MemRef& ref, Word wdata, bool downward,
     bus_.noteFreshAllocation(base);
     stats_.dwAllocNoFetch += 1;
     result.doneAt = done;
-    countAccess(ref, false);
+    countAccess(false);
     return result;
 }
 
@@ -584,7 +581,7 @@ PimCache::doExclusiveRead(const MemRef& ref, Cycles now)
         stats_.erAsRp += 1;
         purgeBlock(*block, now + kHitCycles);
         result.doneAt = now + kHitCycles;
-        countAccess(ref, false);
+        countAccess(false);
         return result;
     }
 
@@ -610,7 +607,7 @@ PimCache::doExclusiveRead(const MemRef& ref, Cycles now)
         result.data = blockData(fetched)[ref.addr - base];
         result.doneAt = outcome.doneAt;
         stats_.erAsRi += 1;
-        countAccess(ref, true);
+        countAccess(true);
         return result;
     }
 
@@ -624,13 +621,12 @@ PimCache::doReadPurge(const MemRef& ref, Cycles now)
 {
     AccessResult result;
     const Addr base = blockBaseOf(ref.addr);
-    stats_.rpCount += 1;
     if (Block* block = findBlock(base)) {
         // Case (i): read, then purge our own copy.
         result.data = blockData(*block)[ref.addr - base];
         purgeBlock(*block, now + kHitCycles);
         result.doneAt = now + kHitCycles;
-        countAccess(ref, false);
+        countAccess(false);
         return result;
     }
     // Case (ii): fetch (invalidating any supplier), read, do not keep.
@@ -651,7 +647,7 @@ PimCache::doReadPurge(const MemRef& ref, Cycles now)
     }
     result.data = scratch[ref.addr - base];
     result.doneAt = outcome.doneAt;
-    countAccess(ref, true);
+    countAccess(true);
     return result;
 }
 
@@ -679,7 +675,7 @@ PimCache::doReadInvalidate(const MemRef& ref, Cycles now)
     result.data = blockData(block)[ref.addr - base];
     result.doneAt = outcome.doneAt;
     stats_.riExclusive += 1;
-    countAccess(ref, true);
+    countAccess(true);
     return result;
 }
 

@@ -191,7 +191,7 @@ class PimCache : public BusSnooper
     AccessResult doReadPurge(const MemRef& ref, Cycles now);
     AccessResult doReadInvalidate(const MemRef& ref, Cycles now);
 
-    void countAccess(const MemRef& ref, bool miss);
+    void countAccess(bool miss);
 
     PeId pe_;
     CacheConfig config_;

@@ -3,7 +3,7 @@
  * Minimal JSON support for the simulator's machine-readable outputs.
  *
  * JsonWriter is a streaming writer (objects, arrays, scalar values) used
- * by the metrics registry, the timeline recorder, reportAllJson and the
+ * by the attribution engine, the timeline recorder, reportAllJson and the
  * bench binaries' --json output. JsonValue is a small recursive-descent
  * parser used by tests and the json_check schema validator to read those
  * files back. Neither aims at full spec coverage: strings are escaped to

@@ -36,10 +36,12 @@ initialLevel()
     return LogLevel::Warn;
 }
 
+// Fixed during static initialization, so concurrent readers need no atomic.
+const LogLevel gLevel = initialLevel();
+
 // Atomic so concurrent simulations on a thread pool can log without a
 // data race; sequence numbers stay globally unique and monotonic, but
 // lines from different workers may interleave in any order.
-std::atomic<LogLevel> gLevel{initialLevel()};
 std::atomic<std::uint64_t> gSequence{0}; ///< Next line's sequence number.
 
 const char*
@@ -60,35 +62,17 @@ levelName(LogLevel level)
 LogLevel
 logLevel()
 {
-    return gLevel.load(std::memory_order_relaxed);
+    return gLevel;
 }
 
 void
-setLogLevel(LogLevel level)
-{
-    gLevel.store(level, std::memory_order_relaxed);
-}
-
-std::uint64_t
-logSequence()
-{
-    return gSequence.load(std::memory_order_relaxed);
-}
-
-void
-logLine(LogLevel level, const std::string& msg, int pe)
+logLine(LogLevel level, const std::string& msg)
 {
     const std::uint64_t seq =
         gSequence.fetch_add(1, std::memory_order_relaxed);
-    if (pe >= 0) {
-        std::fprintf(stderr, "[%llu %s pe%d] %s\n",
-                     static_cast<unsigned long long>(seq),
-                     levelName(level), pe, msg.c_str());
-    } else {
-        std::fprintf(stderr, "[%llu %s] %s\n",
-                     static_cast<unsigned long long>(seq),
-                     levelName(level), msg.c_str());
-    }
+    std::fprintf(stderr, "[%llu %s] %s\n",
+                 static_cast<unsigned long long>(seq), levelName(level),
+                 msg.c_str());
 }
 
 } // namespace pim

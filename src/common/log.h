@@ -7,18 +7,15 @@
  * trace, or the equivalent numbers 0-4 (see README "Logging"). Defaults
  * to warn so tests and benches stay quiet.
  *
- * Every line carries a process-wide monotonic sequence number so
- * interleaved multi-PE debug output can be ordered after the fact, and
- * the PE-tagged variants (PIM_PE_DEBUG etc.) attribute a line to the
- * processor whose model emitted it:
+ * Every line carries a process-wide monotonic sequence number so output
+ * interleaved from concurrent simulations can be ordered after the fact:
  *
- *   [42 DEBUG pe3] fetch block 0x40 -> EC
+ *   [42 WARN] program ended with 3 suspended goal(s)
  */
 
 #ifndef PIMCACHE_COMMON_LOG_H_
 #define PIMCACHE_COMMON_LOG_H_
 
-#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -35,28 +32,11 @@ enum class LogLevel : int {
 /** Current global log level. */
 LogLevel logLevel();
 
-/** Override the global log level. */
-void setLogLevel(LogLevel level);
-
-/** Sequence number the next log line will carry. */
-std::uint64_t logSequence();
-
 /**
- * Emit one log line (no newline needed) if level is enabled, stamped
- * with the next sequence number. @p pe tags the line with the emitting
- * processor; pass kLogNoPe for untagged lines.
+ * Emit one log line (no newline needed), stamped with the next sequence
+ * number. Callers check logEnabled() first.
  */
-void logLine(LogLevel level, const std::string& msg, int pe);
-
-/** "No PE" tag for logLine. */
-inline constexpr int kLogNoPe = -1;
-
-/** Emit an untagged log line. */
-inline void
-logLine(LogLevel level, const std::string& msg)
-{
-    logLine(level, msg, kLogNoPe);
-}
+void logLine(LogLevel level, const std::string& msg);
 
 /** True if a message at @p level would be emitted. */
 inline bool
@@ -80,22 +60,5 @@ logEnabled(LogLevel level)
 #define PIM_WARN(...)  PIM_LOG(::pim::LogLevel::Warn, __VA_ARGS__)
 #define PIM_DEBUG(...) PIM_LOG(::pim::LogLevel::Debug, __VA_ARGS__)
 #define PIM_TRACE(...) PIM_LOG(::pim::LogLevel::Trace, __VA_ARGS__)
-
-/** PE-tagged variants: PIM_PE_LOG(level, pe, ...). */
-#define PIM_PE_LOG(level, pe, ...)                                          \
-    do {                                                                    \
-        if (::pim::logEnabled(level)) {                                     \
-            std::ostringstream os_;                                         \
-            os_ << __VA_ARGS__;                                             \
-            ::pim::logLine(level, os_.str(), static_cast<int>(pe));         \
-        }                                                                   \
-    } while (0)
-
-#define PIM_PE_INFO(pe, ...)                                                \
-    PIM_PE_LOG(::pim::LogLevel::Info, pe, __VA_ARGS__)
-#define PIM_PE_DEBUG(pe, ...)                                               \
-    PIM_PE_LOG(::pim::LogLevel::Debug, pe, __VA_ARGS__)
-#define PIM_PE_TRACE(pe, ...)                                               \
-    PIM_PE_LOG(::pim::LogLevel::Trace, pe, __VA_ARGS__)
 
 #endif // PIMCACHE_COMMON_LOG_H_

@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic pseudo-random number generator.
+ * Deterministic pseudo-random number generator and hash fold.
  *
  * A small splitmix64/xoshiro256** combination so simulations are exactly
  * reproducible across hosts and standard-library versions (std::mt19937
@@ -15,6 +15,20 @@
 #include "common/xassert.h"
 
 namespace pim {
+
+/**
+ * Fold @p v into the running hash @p h (splitmix64 finalizer). Stress
+ * and sweep fingerprints, fuzz seeds and protocol snapshot hashes all
+ * fold with it: changing it moves every pinned stress fingerprint.
+ */
+inline std::uint64_t
+hashMix(std::uint64_t h, std::uint64_t v)
+{
+    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
 
 /** Portable deterministic PRNG (xoshiro256** seeded via splitmix64). */
 class Rng

@@ -98,7 +98,6 @@ Machine::heapAlloc(std::uint32_t nwords)
     }
     const Addr addr = heapTop_;
     heapTop_ += nwords;
-    stats_.heapWords += nwords;
     if (emu_.config().enableGc &&
         heapTop_ + emu_.config().gcSlackWords > heapEnd_) {
         emu_.gcRequested_ = true;
@@ -513,7 +512,6 @@ Machine::doDonation()
             mem(MemOp::W, reply, Area::Comm, 1);
             if (stalled_)
                 return false;
-            stats_.declines += 1;
             donationRequester_ = kNoPe;
             return true;
         }
@@ -537,7 +535,6 @@ Machine::doDonation()
     if (stalled_)
         return false;
     emu_.goalsInTransit_ += 1;
-    stats_.donations += 1;
     donationRequester_ = kNoPe;
     donationRec_ = kNoAddr;
     return true;
@@ -1463,7 +1460,6 @@ Machine::doSpawn(const Instr& ins)
     }
     goalList_.push_front(rec);
     retryGoalRec_ = kNoAddr;
-    stats_.goalsSpawned += 1;
     ++pc_;
 }
 

@@ -56,10 +56,6 @@ struct MachineStats {
     std::uint64_t resumptions = 0;
     std::uint64_t instructions = 0;
     std::uint64_t steals = 0;
-    std::uint64_t donations = 0;
-    std::uint64_t declines = 0;
-    std::uint64_t heapWords = 0;
-    std::uint64_t goalsSpawned = 0;
 };
 
 /** One PE's reduction engine. */

@@ -9,16 +9,6 @@ namespace pim {
 
 namespace {
 
-/** splitmix64 finalizer — derives independent per-trace seeds. */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 constexpr const char* kDeadlockMessage =
     "deadlock: no command is enabled but PEs are parked";
 
@@ -96,7 +86,7 @@ fuzz(const FuzzConfig& config)
 {
     FuzzResult result;
     for (std::uint32_t t = 0; t < config.traces; ++t) {
-        const std::uint64_t trace_seed = mix(config.seed, t);
+        const std::uint64_t trace_seed = hashMix(config.seed, t);
         Rng rng(trace_seed);
         ConformanceHarness harness(config.harness);
         std::vector<ProtoCmd> trace;

@@ -14,7 +14,7 @@
  * else. Every hook defaults to a no-op; sinks override what they need.
  * This header is intentionally header-only so the model libraries (bus,
  * cache, sim) depend on no observability code — concrete sinks
- * (TimelineRecorder, MetricsRegistry) live in the pim_obs library.
+ * (TimelineRecorder, AttributionEngine) live in the pim_obs library.
  */
 
 #ifndef PIMCACHE_OBS_EVENT_SINK_H_
@@ -162,7 +162,7 @@ class EventSink
 /**
  * Fan-out sink: forwards every event to all registered sinks, in
  * registration order. The System owns one and wires the components to it
- * so a timeline recorder and a metrics registry can observe one run
+ * so a timeline recorder and an attribution engine can observe one run
  * simultaneously. Registered sinks stay attached for the mux's lifetime;
  * callers keep ownership.
  */

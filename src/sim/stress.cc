@@ -19,16 +19,6 @@ namespace pim {
 
 namespace {
 
-/** Fingerprint mixer (splitmix64 finalizer over a running hash). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /** One PE's driver state. */
 struct PeState {
     std::deque<Addr> heldLocks; ///< Acquired lock words, oldest first.
@@ -145,11 +135,11 @@ class GlobalStressSource : public RefSource
         if (op.op == MemOp::DW)
             records_.push_back(op.addr);
         if (completed_ < config_.steps) {
-            fingerprint_ = mix(fingerprint_,
-                               (static_cast<std::uint64_t>(pe) << 8) |
-                                   static_cast<std::uint64_t>(op.op));
-            fingerprint_ = mix(fingerprint_, op.addr);
-            fingerprint_ = mix(fingerprint_, data);
+            fingerprint_ = hashMix(fingerprint_,
+                                   (static_cast<std::uint64_t>(pe) << 8) |
+                                       static_cast<std::uint64_t>(op.op));
+            fingerprint_ = hashMix(fingerprint_, op.addr);
+            fingerprint_ = hashMix(fingerprint_, data);
         }
         completed_ += 1;
     }
@@ -291,11 +281,14 @@ runStress(const StressConfig& config)
     if (want_timeline)
         system.addEventSink(&timeline);
 
+    // The reference log is read only to dump a failing run's PIMTRACE.
     std::vector<MemRef> trace;
-    trace.reserve(std::min<std::uint64_t>(config.steps, 1u << 20));
-    system.setRefObserver([&trace](const MemRef& ref) {
-        trace.push_back(ref);
-    });
+    if (!config.traceOut.empty()) {
+        trace.reserve(std::min<std::uint64_t>(config.steps, 1u << 20));
+        system.setRefObserver([&trace](const MemRef& ref) {
+            trace.push_back(ref);
+        });
+    }
 
     GlobalStressSource source(config, system, watchdog, span, lock_base,
                               lock_words, rec_base);

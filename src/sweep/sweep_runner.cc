@@ -14,6 +14,7 @@
 #include "bench_kl1/workload.h"
 #include "common/fs_util.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "common/sim_fault.h"
 #include "common/thread_pool.h"
 #include "sim/stress.h"
@@ -45,21 +46,11 @@ threadSeconds()
                Clock::now().time_since_epoch()).count();
 }
 
-/** Fingerprint mixer (splitmix64 finalizer over a running hash). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 mixString(std::uint64_t h, const std::string& text)
 {
     for (char c : text)
-        h = mix(h, static_cast<unsigned char>(c));
+        h = hashMix(h, static_cast<unsigned char>(c));
     return h;
 }
 
@@ -531,7 +522,7 @@ runWithRetry(const RetryPolicy& policy,
 std::string
 sweepConfigHash(const SweepSpec& spec, const SweepOptions& options)
 {
-    std::uint64_t h = mixString(mix(0, spec.seed), spec.name);
+    std::uint64_t h = mixString(hashMix(0, spec.seed), spec.name);
     for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
         const SweepExperiment& experiment = spec.experiments[e];
         h = mixString(h, experiment.id);
@@ -695,14 +686,14 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
 
     if (outcome.complete) {
         for (const SweepRow& row : outcome.rows) {
-            std::uint64_t h = mix(0, row.taskIndex);
+            std::uint64_t h = hashMix(0, row.taskIndex);
             h = mixString(h, row.params.toString());
             for (const auto& [name, value] : row.metrics) {
                 h = mixString(h, name);
                 h = mixString(h, value.toString());
             }
-            h = mix(h, row.failed ? 1 : 0);
-            outcome.fingerprint = mix(outcome.fingerprint, h);
+            h = hashMix(h, row.failed ? 1 : 0);
+            outcome.fingerprint = hashMix(outcome.fingerprint, h);
         }
         outcome.sweepJson = renderSweepJson(spec, outcome);
     } else {

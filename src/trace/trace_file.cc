@@ -59,7 +59,7 @@ TraceWriter::close()
 }
 
 TraceReader::TraceReader(const std::string& path)
-    : file_(std::fopen(path.c_str(), "rb"))
+    : file_(std::fopen(path.c_str(), "rb")), path_(path)
 {
     if (file_ == nullptr)
         PIM_FATAL("cannot open trace file: ", path);
@@ -89,6 +89,15 @@ TraceReader::next(MemRef& ref)
     Record rec;
     if (std::fread(&rec, sizeof(rec), 1, file_) != 1)
         return false;
+    // The fields index per-op, per-area and per-PE tables downstream.
+    if (rec.op >= kNumMemOps || rec.area >= kNumAreaSlots ||
+        rec.pe >= numPes_) {
+        PIM_FATAL("PIMTRACE record ", records_, " in ", path_,
+                  " is out of range: op ", unsigned(rec.op), ", area ",
+                  unsigned(rec.area), ", pe ", rec.pe, " (", numPes_,
+                  " PEs)");
+    }
+    ++records_;
     ref.addr = rec.addr;
     ref.op = static_cast<MemOp>(rec.op);
     ref.area = static_cast<Area>(rec.area);

@@ -53,14 +53,19 @@ class TraceReader
     TraceReader(const TraceReader&) = delete;
     TraceReader& operator=(const TraceReader&) = delete;
 
-    /** Read the next record. @return false at end of file. */
+    /**
+     * Read the next record; fatal if its op, area or PE is out of range.
+     * @return false at end of file.
+     */
     bool next(MemRef& ref);
 
     std::uint32_t numPes() const { return numPes_; }
 
   private:
     std::FILE* file_;
+    std::string path_;
     std::uint32_t numPes_ = 0;
+    std::uint64_t records_ = 0; ///< Records read so far.
 };
 
 } // namespace pim

@@ -80,7 +80,8 @@ CoherenceAuditor::afterAccess(PeId pe, MemOp op, Addr addr, Area area,
         if (op == MemOp::ER || op == MemOp::RP) {
             // The purge contract deliberately leaves shared memory stale
             // for single-use data; stop tracking the block rather than
-            // flagging reuse-after-purge (Bus::staleFetches counts that).
+            // flagging reuse-after-purge (BusStats::staleFetches counts
+            // that).
             for (std::uint32_t w = 0; w < blockWords_; ++w)
                 shadow_.erase(base + w);
         }

@@ -1,10 +1,10 @@
 /**
  * @file
  * Observability-layer tests (docs/OBSERVABILITY.md): the JSON
- * writer/parser pair, the metrics registry's counters and histograms,
- * the timeline recorder's Chrome trace-event output (well-formed, every
- * duration begin matched by an end per track, bus-track durations equal
- * to BusStats), and reportAllJson agreeing with the live System totals.
+ * writer/parser pair, the timeline recorder's Chrome trace-event output
+ * (well-formed, every duration begin matched by an end per track,
+ * bus-track durations equal to BusStats), reportAllJson agreeing with
+ * the live System totals, and attached sinks leaving the run unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 
 #include "common/json.h"
 #include "common/sim_fault.h"
-#include "obs/metrics.h"
+#include "obs/attribution.h"
 #include "obs/timeline.h"
 #include "sim/report_json.h"
 #include "sim/system.h"
@@ -140,107 +140,6 @@ TEST(Json, FindPath)
     EXPECT_EQ(doc.findPath("rows.2.v"), nullptr);
     EXPECT_EQ(doc.findPath("meta.absent"), nullptr);
     EXPECT_EQ(doc.findPath("rows.notanindex"), nullptr);
-}
-
-// ----------------------------------------------------------- Histogram
-
-TEST(Histogram, PowerOfTwoBuckets)
-{
-    Histogram h;
-    h.record(0);
-    h.record(1);
-    h.record(2);
-    h.record(3);
-    h.record(4);
-    h.record(1u << 16);
-    h.record(1u << 20); // overflow bucket
-
-    EXPECT_EQ(h.count(), 7u);
-    EXPECT_EQ(h.sum(), 0u + 1 + 2 + 3 + 4 + (1u << 16) + (1u << 20));
-    EXPECT_EQ(h.max(), 1u << 20);
-    EXPECT_EQ(h.bucket(0), 1u); // the exact zero
-    EXPECT_EQ(h.bucket(1), 1u); // [1, 2)
-    EXPECT_EQ(h.bucket(2), 2u); // [2, 4)
-    EXPECT_EQ(h.bucket(3), 1u); // [4, 8)
-    EXPECT_EQ(h.bucket(17), 1u); // [65536, 131072)
-    EXPECT_EQ(h.bucket(Histogram::kNumBuckets - 1), 1u); // >= 2^17
-    EXPECT_EQ(Histogram::bucketLow(0), 0u);
-    EXPECT_EQ(Histogram::bucketLow(1), 1u);
-    EXPECT_EQ(Histogram::bucketLow(5), 16u);
-}
-
-// ------------------------------------------------------------- Metrics
-
-TEST(Metrics, CountersMatchSystemStats)
-{
-    System sys(smallSystem());
-    MetricsRegistry metrics;
-    sys.addEventSink(&metrics);
-    driveWorkload(sys);
-
-    // Every access reported exactly once (lock-wait retries included in
-    // access.total; completed ones only in the refStats).
-    EXPECT_EQ(metrics.counter("access.total"),
-              sys.refStats().total() + metrics.counter("access.lock_waited"));
-
-    // One onBusTransaction per accounted bus transaction.
-    const BusStats& bus = sys.bus().stats();
-    std::uint64_t trans = 0;
-    for (int p = 0; p < kNumBusPatterns; ++p)
-        trans += bus.transByPattern[p];
-    EXPECT_EQ(metrics.counter("bus.transactions"), trans);
-    EXPECT_EQ(metrics.counter("bus.cycles"),
-              static_cast<std::uint64_t>(bus.totalCycles));
-
-    // Fill split covers all misses that moved data.
-    EXPECT_GT(metrics.counter("fills.memory"), 0u);
-    EXPECT_GT(metrics.counter("fills.cache_to_cache"), 0u);
-
-    // The lock handoff parked PE 1 once and woke it once.
-    EXPECT_EQ(metrics.counter("locks.parks"), 1u);
-    EXPECT_EQ(metrics.counter("locks.wakes"), 1u);
-    const Histogram* wait = metrics.histogram("locks.wait_cycles");
-    ASSERT_NE(wait, nullptr);
-    EXPECT_EQ(wait->count(), 1u);
-
-    // Bus acquisition latency histogram saw every transaction.
-    const Histogram* acq = metrics.histogram("bus.acquire_wait_cycles");
-    ASSERT_NE(acq, nullptr);
-    EXPECT_EQ(acq->count(), trans);
-}
-
-TEST(Metrics, JsonSerialization)
-{
-    System sys(smallSystem());
-    MetricsRegistry metrics;
-    sys.addEventSink(&metrics);
-    driveWorkload(sys);
-
-    std::ostringstream os;
-    metrics.write(os);
-    const JsonValue doc = JsonValue::parse(os.str());
-    ASSERT_TRUE(doc.has("counters"));
-    ASSERT_TRUE(doc.has("histograms"));
-    EXPECT_EQ(doc.at("counters").at("bus.transactions").asNumber(),
-              static_cast<double>(metrics.counter("bus.transactions")));
-    const JsonValue& acq =
-        doc.at("histograms").at("bus.acquire_wait_cycles");
-    EXPECT_EQ(acq.at("count").asNumber(),
-              static_cast<double>(
-                  metrics.histogram("bus.acquire_wait_cycles")->count()));
-    EXPECT_TRUE(acq.at("buckets").isArray());
-}
-
-TEST(Metrics, ClearResets)
-{
-    System sys(smallSystem());
-    MetricsRegistry metrics;
-    sys.addEventSink(&metrics);
-    sys.access(0, MemOp::R, 64, Area::Heap, 0);
-    EXPECT_GT(metrics.counter("access.total"), 0u);
-    metrics.clear();
-    EXPECT_EQ(metrics.counter("access.total"), 0u);
-    EXPECT_EQ(metrics.histogram("bus.acquire_wait_cycles"), nullptr);
 }
 
 // ------------------------------------------------------------ Timeline
@@ -378,12 +277,16 @@ TEST(ReportJson, TotalsMatchSystem)
 
 TEST(EventSink, NoSinkMeansNoObservableChange)
 {
-    // Two identical runs, one with a sink: same stats, same data.
-    System plain(smallSystem());
-    System observed(smallSystem());
-    MetricsRegistry metrics;
+    // Two identical runs, one with both shipped sinks: same stats, same
+    // data, and the attribution accounts for every transaction and miss.
+    const SystemConfig config = smallSystem();
+    System plain(config);
+    System observed(config);
+    const CacheGeometry& geom = config.cache.geometry;
+    AttributionEngine attribution(config.numPes, config.timing,
+                                  geom.blockWords, geom.ways * geom.sets);
     TimelineRecorder timeline;
-    observed.addEventSink(&metrics);
+    observed.addEventSink(&attribution);
     observed.addEventSink(&timeline);
 
     driveWorkload(plain);
@@ -395,6 +298,9 @@ TEST(EventSink, NoSinkMeansNoObservableChange)
     EXPECT_EQ(plain.totalCacheStats().misses,
               observed.totalCacheStats().misses);
     EXPECT_GT(timeline.eventCount(), 0u);
+    EXPECT_EQ(attribution.crossCheck(observed.bus().stats()), "");
+    EXPECT_EQ(attribution.classifiedMisses(),
+              observed.totalCacheStats().misses);
 }
 
 } // namespace

@@ -132,6 +132,27 @@ TEST(TraceFileDeath, BadMagicIsFatal)
     std::remove(path.c_str());
 }
 
+TEST(TraceFileDeath, OutOfRangeRecordIsFatal)
+{
+    // A corrupt op byte would index past RefStats' per-op table on
+    // replay; the reader must refuse the record instead.
+    const std::string path = ::testing::TempDir() + "/badop.pimtrace";
+    {
+        TraceWriter writer(path, 2);
+        writer.append({64, MemOp::R, Area::Heap, 1});
+        writer.append({68, static_cast<MemOp>(200), Area::Heap, 0});
+    }
+    EXPECT_EXIT(
+        {
+            TraceReader reader(path);
+            MemRef ref;
+            while (reader.next(ref)) {
+            }
+        },
+        ::testing::ExitedWithCode(1), "PIMTRACE record 1 .* out of range");
+    std::remove(path.c_str());
+}
+
 TEST(Synth, RandomTrafficShape)
 {
     RandomTrafficConfig config;
