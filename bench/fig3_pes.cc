@@ -10,9 +10,10 @@
  * --clusters appends a beyond-the-paper scaling section (off by
  * default, so the default output stays golden-stable): one benchmark at
  * 128/256/512/1024 PEs, each run twice — on the paper's single snooping
- * bus and on the clustered topology (per-cluster buses plus an
- * inter-cluster directory, docs/ARCHITECTURE.md) — showing where the
- * single bus saturates and how clustering moves the knee.
+ * bus and on the clustered topology (per-cluster buses, cross-cluster
+ * traffic routed by the residency masks, docs/ARCHITECTURE.md) —
+ * showing where the single bus saturates and how clustering moves the
+ * knee.
  *
  *   --clusters            enable the wide-PE section
  *   --cluster-size=N      PEs per snooping-bus cluster (default 16)

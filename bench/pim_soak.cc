@@ -29,8 +29,8 @@
 #include "common/fs_util.h"
 #include "common/json.h"
 #include "common/options.h"
+#include "common/parallel_for.h"
 #include "common/sim_fault.h"
-#include "common/thread_pool.h"
 #include "sweep/sweep_runner.h"
 
 using namespace pim;
@@ -244,8 +244,7 @@ main(int argc, char** argv)
         // Build the campaign as a sweep: one stress experiment per
         // plan, the seeds as the engine's implicit seed axis. Rides the
         // whole resilient execution plane for free — per-cell
-        // timeouts, transient retry, parallel fan-out, failed cells as
-        // result rows.
+        // timeouts, parallel fan-out, failed cells as result rows.
         SweepSpec spec;
         spec.name = smoke ? "soak_smoke" : "soak";
         spec.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
@@ -271,15 +270,14 @@ main(int argc, char** argv)
         }
 
         SweepOptions options;
-        options.jobs = static_cast<unsigned>(opts.getInt(
-            "jobs",
-            static_cast<std::int64_t>(ThreadPool::defaultWorkers())));
+        options.jobs = static_cast<unsigned>(opts.getInt("jobs", 0));
         options.timeoutSeconds = opts.getDouble("timeout", 60);
 
         std::printf("== soak %s: %zu plans x %u seeds = %zu cells on "
                     "up to %u workers ==\n",
                     spec.name.c_str(), num_plans, seeds,
-                    spec.totalTasks(), options.jobs);
+                    spec.totalTasks(),
+                    parallelForThreads(spec.totalTasks(), options.jobs));
 
         const SweepOutcome outcome = runSweep(spec, options);
 

@@ -11,6 +11,9 @@
  * On a detected fault the harness prints a one-line replay command that
  * reproduces the failure deterministically, and (with --trace-out) dumps
  * the completed-reference trace in PIMTRACE format.
+ *
+ * One invocation runs one seed; many seeds run as a `stress` experiment
+ * under pim_sweep (docs/EXPERIMENTS.md) or pim_soak.
  */
 
 #include <cstdio>
@@ -58,9 +61,6 @@ usage()
         "                      detected Timeout fault (not in replay\n"
         "                      lines: wall-clock, not simulation state)\n"
         "  --expect-fault      exit 0 iff a fault was detected\n"
-        "  --seeds=N           batch: run seeds SEED..SEED+N-1 (default 1)\n"
-        "  --jobs=N            batch worker threads (default: hardware);\n"
-        "                      results are identical for any value\n"
         "  --replay            marker flag printed in replay lines; a\n"
         "                      stress run is a pure function of its flags\n");
 }
@@ -71,8 +71,7 @@ const char* const kKnownFlags[] = {
     "plan",       "trace-out",  "timeline-out", "attribution-out",
     "expect-fault",
     "replay",     "help",       "starvation-bound", "livelock-retries",
-    "seeds",      "jobs",       "timeout",
-    "cluster-size", "hop-cycles",
+    "timeout",    "cluster-size", "hop-cycles",
 };
 
 } // namespace
@@ -85,16 +84,13 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown("pim_stress", argc, argv, kKnownFlags) ||
-        !countsAreNonNegative("pim_stress", opts, {"jobs", "seeds"})) {
+    if (!flagsAreKnown("pim_stress", argc, argv, kKnownFlags)) {
         usage();
         return 1;
     }
 
     StressConfig config;
     StressResult result;
-    std::uint32_t seeds = 1;
-    unsigned jobs = 0;
     try {
         config.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
         config.numPes =
@@ -123,42 +119,6 @@ main(int argc, char** argv)
             opts.getInt("starvation-bound", 100000));
         config.watchdog.livelockRetries = static_cast<std::uint32_t>(
             opts.getInt("livelock-retries", 1000));
-        seeds = static_cast<std::uint32_t>(opts.getInt("seeds", 1));
-        jobs = static_cast<unsigned>(opts.getInt("jobs", 0));
-
-        if (seeds > 1) {
-            // Seed batch through the shared thread pool: per-seed results
-            // are identical to running each seed alone (stress.h).
-            const std::vector<StressResult> results =
-                runStressBatch(config, seeds, jobs);
-            std::uint32_t faults = 0;
-            for (std::uint32_t i = 0; i < seeds; ++i) {
-                const StressResult& r = results[i];
-                if (r.failed) {
-                    ++faults;
-                    std::printf("seed %llu: FAULT (%s) after %llu refs: "
-                                "%s\n  replay: %s\n",
-                                static_cast<unsigned long long>(
-                                    config.seed + i),
-                                simFaultKindName(r.kind),
-                                static_cast<unsigned long long>(
-                                    r.completedRefs),
-                                r.message.c_str(), r.replayLine.c_str());
-                } else {
-                    std::printf("seed %llu: OK, %llu refs, fingerprint "
-                                "%016llx\n",
-                                static_cast<unsigned long long>(
-                                    config.seed + i),
-                                static_cast<unsigned long long>(
-                                    r.completedRefs),
-                                static_cast<unsigned long long>(
-                                    r.fingerprint));
-                }
-            }
-            std::printf("batch: %u seeds, %u faults\n", seeds, faults);
-            const bool expect_fault = opts.getBool("expect-fault");
-            return (faults != 0) == expect_fault ? 0 : 2;
-        }
 
         result = runStress(config);
     } catch (const SimFault& fault) {

@@ -1,19 +1,18 @@
 /**
  * @file
  * Parallel experiment engine CLI (docs/EXPERIMENTS.md): expands a
- * declarative sweep spec into independent simulation tasks, fans them
- * out across a work-stealing thread pool, and aggregates the rows into
- * one deterministic SWEEP.json (plus per-experiment BENCH_sweep_*.json
- * and a SWEEP.perf.json throughput sidecar).
+ * declarative sweep spec into independent simulation tasks, runs each
+ * once on --jobs worker threads, and aggregates the rows into one
+ * deterministic SWEEP.json (plus a SWEEP.perf.json throughput sidecar).
  *
  * `--spec=paper` reproduces the entire Table 1-5 / Figure 1-3 grid in
- * one invocation; SWEEP.json is byte-identical for any --jobs value,
- * any --timeout/retry history, and any interrupt/--resume split
- * (docs/ROBUSTNESS.md).
+ * one invocation; SWEEP.json is byte-identical for any --jobs value
+ * and any interrupt/--resume split (docs/ROBUSTNESS.md).
  *
  * Exit codes: 0 = every requested task ran (failed rows are results,
- * reported in SWEEP.json); nonzero = a SimFault per
- * simFaultExitCode's families (10 config, 11 parse, ...), e.g. a
+ * reported in SWEEP.json); 1 = bad usage or unwritable output; else a
+ * SimFault per simFaultExitCode's families (10 config, 11 parse, ...),
+ * e.g. a parameter the task kind never reads, an unknown benchmark or a
  * checkpoint/spec mismatch under --resume exits 10.
  */
 
@@ -22,8 +21,8 @@
 
 #include "common/options.h"
 #include "common/sim_fault.h"
+#include "common/parallel_for.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "sweep/sweep_runner.h"
 
 using namespace pim;
@@ -41,18 +40,14 @@ usage()
         "                      CI smoke, or the 128-1024 PE clustered\n"
         "                      scaling grid (docs/ARCHITECTURE.md)\n"
         "  --jobs=N            worker threads (default: hardware)\n"
-        "  --out=DIR           write SWEEP.json, SWEEP.perf.json and\n"
-        "                      BENCH_sweep_<id>.json here (created if\n"
-        "                      missing; default: no files, stdout only)\n"
+        "  --out=DIR           write SWEEP.json and SWEEP.perf.json here\n"
+        "                      (created if missing; default: no files,\n"
+        "                      stdout only)\n"
         "  --scale=N           override every kl1 task's workload scale\n"
         "  --list              print the expanded grid and exit\n"
         "  --timeout=SECS      per-task wall-clock budget; an overrunning\n"
-        "                      point fails with Timeout instead of wedging\n"
-        "                      its worker (default: none)\n"
-        "  --retries=N         extra attempts for transient (Timeout)\n"
-        "                      rows, exponential backoff (default: 2)\n"
-        "  --retry-base-ms=MS  first retry backoff, doubling per retry\n"
-        "                      (default: 100, capped at 5000)\n"
+        "                      point is one failed Timeout row instead of\n"
+        "                      wedging its worker (default: none)\n"
         "  --resume            restore completed slots from\n"
         "                      OUT/SWEEP.ckpt.json (same spec, verified\n"
         "                      by config hash) and run only the rest\n"
@@ -63,7 +58,7 @@ usage()
 
 const char* const kKnownFlags[] = {
     "spec", "jobs", "out", "scale", "list", "timeout",
-    "retries", "retry-base-ms", "resume", "max-tasks", "help",
+    "resume", "max-tasks", "help",
 };
 
 SweepSpec
@@ -98,16 +93,11 @@ main(int argc, char** argv)
         const SweepSpec spec = loadSpec(opts.getString("spec", "paper"));
 
         SweepOptions options;
-        options.jobs = static_cast<unsigned>(opts.getInt(
-            "jobs", static_cast<std::int64_t>(ThreadPool::defaultWorkers())));
+        options.jobs = static_cast<unsigned>(opts.getInt("jobs", 0));
         options.outDir = opts.getString("out", "");
         options.scale =
             static_cast<std::uint32_t>(opts.getInt("scale", 0));
         options.timeoutSeconds = opts.getDouble("timeout", 0);
-        options.retry.retries =
-            static_cast<std::uint32_t>(opts.getInt("retries", 2));
-        options.retry.backoffBaseMs =
-            static_cast<std::uint32_t>(opts.getInt("retry-base-ms", 100));
         options.resume = opts.getBool("resume");
         options.maxTasks =
             static_cast<std::size_t>(opts.getInt("max-tasks", 0));
@@ -133,8 +123,7 @@ main(int argc, char** argv)
 
         std::printf("== sweep %s: %zu tasks on up to %u workers ==\n",
                     spec.name.c_str(), spec.totalTasks(),
-                    options.jobs == 0 ? ThreadPool::defaultWorkers()
-                                      : options.jobs);
+                    parallelForThreads(spec.totalTasks(), options.jobs));
 
         const SweepOutcome outcome = runSweep(spec, options);
 
@@ -156,11 +145,6 @@ main(int argc, char** argv)
                             row.faultKind.c_str(), row.message.c_str());
             }
         }
-        if (outcome.retriedRows != 0) {
-            std::printf("retried: %zu rows needed more than one attempt "
-                        "(history in SWEEP.perf.json)\n",
-                        outcome.retriedRows);
-        }
         if (outcome.complete) {
             std::printf("fingerprint: %016llx\n",
                         static_cast<unsigned long long>(
@@ -178,14 +162,12 @@ main(int argc, char** argv)
                         : outcome.taskSecondsSum / outcome.wallSeconds,
                     outcome.jobs);
 
-        if (!writeSweepFiles(spec, outcome, options))
+        if (!writeSweepFiles(outcome, options))
             return 1;
         if (!options.outDir.empty()) {
             if (outcome.complete) {
-                std::printf("wrote %s/SWEEP.json (+ perf sidecar, %zu "
-                            "BENCH_sweep_*.json)\n",
-                            options.outDir.c_str(),
-                            spec.experiments.size());
+                std::printf("wrote %s/SWEEP.json (+ perf sidecar)\n",
+                            options.outDir.c_str());
             } else {
                 std::printf("partial run (%zu/%zu tasks): checkpoint "
                             "left in %s/%s; finish with --resume\n",

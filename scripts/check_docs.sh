@@ -4,8 +4,10 @@
 # path mentioned in the docs must exist in the tree, every backticked
 # `Class::member` must name a member that still appears in the code,
 # every backticked bare `CamelCase` type name must still appear in the
-# code, every `--flag` in a backticked command must still be parsed by
-# some tool, every backticked `pim_<name>` must still be a CMake target,
+# code, every `--flag` of a `pim_<tool>` command (in a code span or a
+# fenced block) must still be parsed by that tool and any other
+# backticked `--flag` by some tool, every backticked `pim_<name>` must
+# still be a CMake target,
 # every ctest label the docs name must still be set on some test, and
 # every backticked macro, environment-variable or build-option name
 # (`PIM_...`, `REPRO_...`) must still appear in the code, the root
@@ -33,6 +35,52 @@ labels=$(grep -oE 'LABELS +[A-Za-z0-9_-]+' tests/CMakeLists.txt \
 complain() {
     echo "check_docs: $1: stale reference: $2" >&2
     fail=1
+}
+
+# Print "<tool> <flag>" for every --flag a command in doc $1 passes to
+# pim_<tool>, and "- <flag>" for every other --flag in a code span. A
+# command is a code span or a fenced-block line (backslash continuations
+# joined) that invokes pim_<tool>, bare or after bench/ or
+# ./build*/bench/; the tool's flags are those after its name. Spans and
+# lines that run cmake, ctest, python3, git or gcovr pass flags to those
+# tools, not to ours, and are skipped.
+command_flags() {
+    awk '
+    function flags(owner, text) {
+        while (match(text, /--[a-z][a-z0-9-]*/)) {
+            print owner, substr(text, RSTART + 2, RLENGTH - 2)
+            text = substr(text, RSTART + RLENGTH)
+        }
+    }
+    # Padded with spaces so a tool name can start or end the text.
+    function command(text, fenced,   padded, tool) {
+        padded = " " text " "
+        if (padded ~ /^ [ \t]*(cmake|ctest|python3|git|gcovr) /)
+            return
+        if (match(padded, /[ ;&|(](\.\/build[A-Za-z0-9_-]*\/bench\/|bench\/)?pim_[a-z0-9_]+ /)) {
+            tool = substr(padded, RSTART + 1, RLENGTH - 2)
+            sub(/.*\//, "", tool)
+            flags(tool, substr(padded, RSTART + RLENGTH))
+        } else if (!fenced) {
+            flags("-", text)
+        }
+    }
+    /^[ \t]*```/ { in_fence = !in_fence; next }
+    in_fence {
+        line = $0
+        while (line ~ /\\$/ && (getline next_line) > 0)
+            line = substr(line, 1, length(line) - 1) " " next_line
+        command(line, 1)
+        next
+    }
+    {
+        rest = $0
+        while (match(rest, /`[^`]+`/)) {
+            span = substr(rest, RSTART + 1, RLENGTH - 2)
+            rest = substr(rest, RSTART + RLENGTH)
+            command(span, 0)
+        }
+    }' "$1"
 }
 
 check_file() {
@@ -91,18 +139,19 @@ check_file() {
     done < <(grep -oE '`[A-Z][a-z0-9]+([A-Z][A-Za-z0-9]*)+`' "${doc}" \
                   | tr -d '`' | sort -u)
 
-    # Backticked command flags: every `--name` in a code span must appear
-    # as the quoted string "name" in the code, where the tools look their
-    # flags up. Spans that run cmake, ctest, python3, git or gcovr pass
-    # flags to those tools, not to ours, and are skipped.
-    while IFS= read -r flag; do
-        if ! grep -rqF -- "\"${flag}\"" "${code_dirs[@]}"; then
-            complain "${doc}" "flag --${flag}"
+    # Command flags (command_flags above): a flag passed to pim_<tool>
+    # must appear as the quoted string "name" in bench/pim_<tool>.cc,
+    # where the tool looks its flags up; any other backticked flag must
+    # appear quoted somewhere in the code.
+    while read -r tool flag; do
+        if [ "${tool}" = - ]; then
+            if ! grep -rqF -- "\"${flag}\"" "${code_dirs[@]}"; then
+                complain "${doc}" "flag --${flag}"
+            fi
+        elif ! grep -qsF -- "\"${flag}\"" "bench/${tool}.cc"; then
+            complain "${doc}" "flag --${flag} of ${tool}"
         fi
-    done < <(grep -oE '`[^`]+`' "${doc}" \
-                  | grep -vE '^`(cmake|ctest|python3|git|gcovr)[ `]' \
-                  | grep -oE -- '--[a-z][a-z0-9-]*' | sed -E 's/^--//' \
-                  | sort -u)
+    done < <(command_flags "${doc}" | sort -u)
 
     # Backticked tool names: a code span that starts with `pim_<name>`
     # (bare, or after bench/ or ./build*/bench/) and ends or continues

@@ -107,10 +107,11 @@ for leg in "${legs[@]}"; do
         ;;
       tsan)
         run_leg tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPIM_SANITIZE=thread
-        # The thread pool and the sweep engine are the only code that
-        # runs host threads: re-run the `sweep` label explicitly so a
-        # CTEST_ARGS restriction can never skip it on this leg.
-        (cd build-tsan && ctest --output-on-failure -L sweep)
+        # runSweep's workers are the only host threads, and the `sweep`
+        # and `soak` labels hold every test that drives runSweep with
+        # more than one worker: re-run both explicitly so a CTEST_ARGS
+        # restriction can never skip them on this leg.
+        (cd build-tsan && ctest --output-on-failure -L 'sweep|soak')
         ;;
       coverage)
         run_leg coverage -DCMAKE_BUILD_TYPE=Debug -DPIM_COVERAGE=ON

@@ -4,7 +4,7 @@
  * (docs/ROBUSTNESS.md "Deadlines").
  *
  * A simulation point that livelocks — or just takes pathologically long
- * on some parameter corner — used to wedge its ThreadPool worker
+ * on some parameter corner — would otherwise wedge its sweep worker
  * forever. The resilient execution plane bounds every point instead: a
  * RunGuard is polled from the hot loops (System::access, the stress
  * driver, the KL1 step loop) and raises SimFault(Timeout) when its

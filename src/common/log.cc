@@ -39,7 +39,7 @@ initialLevel()
 // Fixed during static initialization, so concurrent readers need no atomic.
 const LogLevel gLevel = initialLevel();
 
-// Atomic so concurrent simulations on a thread pool can log without a
+// Atomic so concurrent simulations on sweep workers can log without a
 // data race; sequence numbers stay globally unique and monotonic, but
 // lines from different workers may interleave in any order.
 std::atomic<std::uint64_t> gSequence{0}; ///< Next line's sequence number.

@@ -55,19 +55,6 @@ simFaultKindName(SimFaultKind kind)
 }
 
 /**
- * True for fault kinds a task runner may retry: the failure is a
- * property of the *execution* (a wall-clock budget on a loaded
- * machine), not of the deterministic simulation itself. Everything the
- * auditor/watchdog detects is a pure function of (config, seed), so
- * retrying it would only reproduce the same fault.
- */
-inline bool
-simFaultKindTransient(SimFaultKind kind)
-{
-    return kind == SimFaultKind::Timeout;
-}
-
-/**
  * Process exit code for a SimFault caught at a tool's main(), one per
  * kind family so scripts can classify failures without parsing stderr
  * (docs/ROBUSTNESS.md "Structured error exits"):

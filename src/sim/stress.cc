@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/strutil.h"
-#include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "obs/attribution.h"
 #include "obs/timeline.h"
@@ -357,31 +357,6 @@ runStress(const StressConfig& config)
     result.injectorSummary = injector.summary();
     result.injectorFires = injector.totalFires();
     return result;
-}
-
-std::vector<StressResult>
-runStressBatch(const StressConfig& base, std::uint32_t count, unsigned jobs)
-{
-    std::vector<StressResult> results(count);
-    const unsigned workers = jobs == 0 ? ThreadPool::defaultWorkers() : jobs;
-    ThreadPool pool(std::clamp(workers, 1u, std::max(count, 1u)));
-    for (std::uint32_t i = 0; i < count; ++i) {
-        pool.submit([&base, &results, i] {
-            StressConfig config = base;
-            config.seed = base.seed + i;
-            const std::string suffix =
-                ".seed" + std::to_string(config.seed);
-            if (!config.traceOut.empty())
-                config.traceOut += suffix;
-            if (!config.timelineOut.empty())
-                config.timelineOut += suffix;
-            if (!config.attributionOut.empty())
-                config.attributionOut += suffix;
-            results[i] = runStress(config);
-        });
-    }
-    pool.wait();
-    return results;
 }
 
 } // namespace pim

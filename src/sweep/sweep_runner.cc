@@ -7,16 +7,16 @@
 #include <ctime>
 #include <filesystem>
 #include <mutex>
+#include <span>
 #include <sstream>
-#include <thread>
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
 #include "common/fs_util.h"
 #include "common/json.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/sim_fault.h"
-#include "common/thread_pool.h"
 #include "sim/stress.h"
 
 namespace pim::sweep {
@@ -24,9 +24,6 @@ namespace pim::sweep {
 namespace {
 
 namespace bench = pim::kl1::bench;
-
-/** Ceiling for one retry backoff sleep. */
-constexpr std::uint64_t kBackoffCapMs = 5000;
 
 /**
  * Per-task cost in CPU seconds of the calling thread, not wall time:
@@ -92,6 +89,13 @@ metricText(SweepRow& row, const std::string& name, std::string value)
     row.metrics.emplace_back(name, ParamValue::ofText(std::move(value)));
 }
 
+/** Every parameter runKl1Task reads. */
+constexpr const char* kKl1Params[] = {
+    "benchmark", "scale", "pes", "policy", "blockWords", "ways",
+    "capacityWords", "sets", "lockEntries", "busWidthWords",
+    "clusterSize", "hopCycles", "enableGc",
+};
+
 /** Run one KL1 benchmark point and fill the row's metrics. */
 void
 runKl1Task(SweepRow& row, double timeout_seconds)
@@ -155,6 +159,13 @@ runKl1Task(SweepRow& row, double timeout_seconds)
     }
 }
 
+/** Every parameter runStressTask reads, plus the expansion's seed_slot. */
+constexpr const char* kStressParams[] = {
+    "seed", "seed_slot", "pes", "blockWords", "ways", "sets", "steps",
+    "spanWords", "writePct", "lockPct", "optPct", "plan", "clusterSize",
+    "hopCycles", "starvationBound", "livelockRetries",
+};
+
 /** Run one stress point; a detected fault becomes a failed row. */
 void
 runStressTask(SweepRow& row, std::uint64_t derived_seed,
@@ -211,6 +222,38 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
     }
 }
 
+/**
+ * Refuse a point its task would misread: a parameter name the task kind
+ * never reads (it would silently run at the default), or an unknown
+ * benchmark (benchmarkByName would end the process from a worker).
+ */
+void
+checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
+{
+    const bool kl1 = experiment.kind == TaskKind::Kl1;
+    const std::span<const char* const> reads =
+        kl1 ? std::span<const char* const>(kKl1Params)
+            : std::span<const char* const>(kStressParams);
+    for (const auto& [name, value] : point.params) {
+        if (std::find(reads.begin(), reads.end(), name) == reads.end()) {
+            throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
+                                experiment.id, "': ",
+                                taskKindName(experiment.kind),
+                                " points have no parameter '", name, "'");
+        }
+    }
+    if (!kl1 || !point.has("benchmark"))
+        return;
+    const std::string name = point.text("benchmark", "");
+    for (const bench::BenchProgram& program : bench::allBenchmarks()) {
+        if (program.name == name)
+            return;
+    }
+    throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
+                        experiment.id, "': unknown benchmark '", name,
+                        "' (want Tri, Semi, Puzzle or Pascal)");
+}
+
 void
 writeParamValue(JsonWriter& json, const ParamValue& value)
 {
@@ -220,7 +263,7 @@ writeParamValue(JsonWriter& json, const ParamValue& value)
         json.value(value.text);
 }
 
-/** The flat key/value body shared by SWEEP rows and BENCH rows. */
+/** The flat key/value body of one SWEEP row. */
 void
 writeRowFields(JsonWriter& json, const SweepRow& row)
 {
@@ -393,7 +436,6 @@ renderCheckpoint(const SweepOutcome& outcome, const std::string& hash)
             continue;
         json.beginObject();
         json.field("task", static_cast<std::uint64_t>(row.taskIndex));
-        json.field("attempts", static_cast<std::uint64_t>(row.attempts));
         json.field("failed", row.failed);
         if (row.failed) {
             json.field("fault_kind", row.faultKind);
@@ -475,10 +517,6 @@ loadCheckpoint(const std::string& path, const std::string& hash,
         row.faultKind =
             row.failed ? entry.at("fault_kind").asString() : "";
         row.message = row.failed ? entry.at("message").asString() : "";
-        row.attempts = entry.has("attempts")
-                           ? static_cast<std::uint32_t>(
-                                 entry.at("attempts").asNumber())
-                           : 1;
         row.done = true;
         row.resumed = true;
         ++restored;
@@ -487,37 +525,6 @@ loadCheckpoint(const std::string& path, const std::string& hash,
 }
 
 } // namespace
-
-std::uint32_t
-retryBackoffMs(const RetryPolicy& policy, std::uint32_t retry_index)
-{
-    if (retry_index == 0)
-        return 0;
-    std::uint64_t ms = policy.backoffBaseMs;
-    for (std::uint32_t i = 1; i < retry_index && ms < kBackoffCapMs; ++i)
-        ms *= 2;
-    return static_cast<std::uint32_t>(std::min(ms, kBackoffCapMs));
-}
-
-void
-runWithRetry(const RetryPolicy& policy,
-             const std::function<bool()>& attempt,
-             RetryAccounting* accounting,
-             const std::function<void(std::uint32_t)>& sleep_ms)
-{
-    for (std::uint32_t i = 0;; ++i) {
-        if (accounting != nullptr)
-            ++accounting->attempts;
-        const bool transient_failure = attempt();
-        if (!transient_failure || i >= policy.retries)
-            return;
-        const std::uint32_t backoff = retryBackoffMs(policy, i + 1);
-        if (accounting != nullptr)
-            accounting->backoffsMs.push_back(backoff);
-        if (sleep_ms)
-            sleep_ms(backoff);
-    }
-}
 
 std::string
 sweepConfigHash(const SweepSpec& spec, const SweepOptions& options)
@@ -548,6 +555,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
         const SweepExperiment& experiment = spec.experiments[e];
         for (SweepPoint& point : experiment.expand()) {
+            checkPoint(point, experiment);
             SweepRow row;
             row.taskIndex = outcome.rows.size();
             row.experiment = e;
@@ -583,12 +591,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
         pending.resize(options.maxTasks);
 
     // No more workers than pending tasks, and at least one.
-    const std::size_t wanted = options.jobs == 0
-                                   ? ThreadPool::defaultWorkers()
-                                   : options.jobs;
-    outcome.jobs = static_cast<unsigned>(
-        std::clamp<std::size_t>(wanted, 1,
-                                std::max<std::size_t>(pending.size(), 1)));
+    outcome.jobs = parallelForThreads(pending.size(), options.jobs);
 
     // Checkpoint plumbing: done flags flip only under the mutex, so the
     // serializer (also under it) never reads a half-filled row.
@@ -606,66 +609,29 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     };
 
     const Clock::time_point wall_start = Clock::now();
-    {
-        ThreadPool pool(outcome.jobs);
-        for (SweepRow* row_ptr : pending) {
-            SweepRow& row = *row_ptr;
-            const TaskKind kind = spec.experiments[row.experiment].kind;
-            const std::uint64_t derived_seed =
-                deriveSeed(spec.seed, row.taskIndex);
-            pool.submit([&row, &options, &done_mutex,
-                         &write_checkpoint_locked, kind, derived_seed] {
-                RetryAccounting accounting;
-                runWithRetry(
-                    options.retry,
-                    [&] {
-                        // One attempt: reset the slot, run, classify. A
-                        // faulting point is a result, not a crash — only
-                        // transient kinds (timeouts) are worth retrying.
-                        row.metrics.clear();
-                        row.failed = false;
-                        row.faultKind.clear();
-                        row.message.clear();
-                        const double start = threadSeconds();
-                        try {
-                            if (kind == TaskKind::Kl1)
-                                runKl1Task(row, options.timeoutSeconds);
-                            else
-                                runStressTask(row, derived_seed,
-                                              options.timeoutSeconds);
-                        } catch (const SimFault& fault) {
-                            row.failed = true;
-                            row.faultKind = simFaultKindName(fault.kind());
-                            row.message = fault.message();
-                        }
-                        row.seconds += threadSeconds() - start;
-                        const bool transient =
-                            row.failed &&
-                            (row.faultKind ==
-                                 simFaultKindName(SimFaultKind::Timeout));
-                        if (transient)
-                            row.retriedKinds.push_back(row.faultKind);
-                        return transient;
-                    },
-                    &accounting,
-                    [](std::uint32_t ms) {
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(ms));
-                    });
-                row.attempts = accounting.attempts;
-                // The final attempt was not retried; its kind is not a
-                // "retried" one unless a later attempt actually ran.
-                if (row.retriedKinds.size() == accounting.attempts &&
-                    !row.retriedKinds.empty())
-                    row.retriedKinds.pop_back();
-
-                std::lock_guard<std::mutex> lock(done_mutex);
-                row.done = true;
-                write_checkpoint_locked();
-            });
+    parallelFor(pending.size(), outcome.jobs, [&](std::size_t p) {
+        // A faulting point is a result, not a crash: its SimFault
+        // becomes the row's failure.
+        SweepRow& row = *pending[p];
+        const double start = threadSeconds();
+        try {
+            if (spec.experiments[row.experiment].kind == TaskKind::Kl1) {
+                runKl1Task(row, options.timeoutSeconds);
+            } else {
+                runStressTask(row, deriveSeed(spec.seed, row.taskIndex),
+                              options.timeoutSeconds);
+            }
+        } catch (const SimFault& fault) {
+            row.failed = true;
+            row.faultKind = simFaultKindName(fault.kind());
+            row.message = fault.message();
         }
-        pool.wait();
-    }
+        row.seconds = threadSeconds() - start;
+
+        std::lock_guard<std::mutex> lock(done_mutex);
+        row.done = true;
+        write_checkpoint_locked();
+    });
     outcome.wallSeconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
 
@@ -680,8 +646,6 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
         outcome.taskSecondsSum += row.seconds;
         if (row.failed)
             ++outcome.failedRows;
-        if (row.attempts > 1)
-            ++outcome.retriedRows;
     }
 
     if (outcome.complete) {
@@ -730,34 +694,12 @@ renderPerfJson(const SweepOutcome& outcome)
                outcome.wallSeconds == 0
                    ? 1.0
                    : outcome.taskSecondsSum / outcome.wallSeconds);
-    // Retry history lives here, NOT in SWEEP.json: attempt counts
-    // depend on wall-clock behavior, and the SWEEP document must be
-    // byte-identical for any retry history (docs/ROBUSTNESS.md).
-    json.field("retried_rows",
-               static_cast<std::uint64_t>(outcome.retriedRows));
-    json.key("retries");
-    json.beginArray();
-    for (const SweepRow& row : outcome.rows) {
-        if (row.attempts <= 1)
-            continue;
-        json.beginObject();
-        json.field("task", static_cast<std::uint64_t>(row.taskIndex));
-        json.field("attempts", static_cast<std::uint64_t>(row.attempts));
-        json.key("retried_kinds");
-        json.beginArray();
-        for (const std::string& kind : row.retriedKinds)
-            json.value(kind);
-        json.endArray();
-        json.endObject();
-    }
-    json.endArray();
     json.endObject();
     return os.str();
 }
 
 bool
-writeSweepFiles(const SweepSpec& spec, const SweepOutcome& outcome,
-                const SweepOptions& options)
+writeSweepFiles(const SweepOutcome& outcome, const SweepOptions& options)
 {
     namespace fs = std::filesystem;
     if (options.outDir.empty())
@@ -788,31 +730,6 @@ writeSweepFiles(const SweepSpec& spec, const SweepOutcome& outcome,
     write_file(fs::path(options.outDir) / "SWEEP.json", outcome.sweepJson);
     write_file(fs::path(options.outDir) / "SWEEP.perf.json",
                renderPerfJson(outcome) + "\n");
-
-    // Per-experiment row files in the bench --json shape (flat rows;
-    // docs/OBSERVABILITY.md), named BENCH_sweep_<id>.json.
-    for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
-        std::ostringstream os;
-        JsonWriter json(os, /*pretty=*/true);
-        json.beginObject();
-        json.field("name", "sweep_" + spec.experiments[e].id);
-        json.field("kind", taskKindName(spec.experiments[e].kind));
-        json.key("rows");
-        json.beginArray();
-        for (const SweepRow& row : outcome.rows) {
-            if (row.experiment != e)
-                continue;
-            json.beginObject();
-            writeRowFields(json, row);
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        os << "\n";
-        write_file(fs::path(options.outDir) /
-                       ("BENCH_sweep_" + spec.experiments[e].id + ".json"),
-                   os.str());
-    }
 
     // The grid is fully drained and published; the checkpoint would
     // only confuse a later --resume of a different grid in the same

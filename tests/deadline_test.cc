@@ -1,6 +1,6 @@
 // Deadline facility (docs/ROBUSTNESS.md): wall-clock Deadline, the
-// strided RunGuard polled from System::access, the transient-fault
-// taxonomy and the family exit codes the bench binaries report.
+// strided RunGuard polled from System::access, the fault-kind names
+// and the family exit codes the bench binaries report.
 
 #include <gtest/gtest.h>
 
@@ -79,16 +79,6 @@ TEST(RunGuard, StrideRoundsUpToPowerOfTwo)
     for (int i = 0; i < 127; ++i)
         EXPECT_NO_THROW(guard.poll());
     EXPECT_THROW(guard.poll(), SimFault);
-}
-
-TEST(SimFaultKinds, TimeoutIsTheOnlyTransientKind)
-{
-    for (int i = 0; i < kNumSimFaultKinds; ++i) {
-        const auto kind = static_cast<SimFaultKind>(i);
-        EXPECT_EQ(simFaultKindTransient(kind),
-                  kind == SimFaultKind::Timeout)
-            << simFaultKindName(kind);
-    }
 }
 
 TEST(SimFaultKinds, NewKindsHaveNames)

@@ -1,7 +1,6 @@
-// Resilient sweep execution (docs/ROBUSTNESS.md): retry/backoff
-// accounting, the config hash gating checkpoints, checkpoint/resume
-// byte-identity of the SWEEP document, and timeout rows draining
-// instead of wedging the grid.
+// Resilient sweep execution (docs/ROBUSTNESS.md): the config hash
+// gating checkpoints, checkpoint/resume byte-identity of the SWEEP
+// document, and timeout rows draining instead of wedging the grid.
 
 #include <cstdio>
 #include <filesystem>
@@ -37,80 +36,6 @@ tempDir(const char* leaf)
     return dir.string();
 }
 
-// ------------------------------------------------------------ retry --
-
-TEST(RetryBackoff, DoublesFromBaseAndCaps)
-{
-    RetryPolicy policy;
-    policy.backoffBaseMs = 100;
-    EXPECT_EQ(retryBackoffMs(policy, 0), 0u);
-    EXPECT_EQ(retryBackoffMs(policy, 1), 100u);
-    EXPECT_EQ(retryBackoffMs(policy, 2), 200u);
-    EXPECT_EQ(retryBackoffMs(policy, 3), 400u);
-    EXPECT_EQ(retryBackoffMs(policy, 7), 5000u); // 6400 capped
-    EXPECT_EQ(retryBackoffMs(policy, 30), 5000u);
-}
-
-TEST(RunWithRetry, SuccessRunsOnce)
-{
-    RetryPolicy policy;
-    policy.retries = 5;
-    RetryAccounting accounting;
-    int calls = 0;
-    runWithRetry(
-        policy,
-        [&] {
-            ++calls;
-            return false; // success / non-transient
-        },
-        &accounting, [](std::uint32_t) { FAIL() << "no sleep expected"; });
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(accounting.attempts, 1u);
-    EXPECT_TRUE(accounting.backoffsMs.empty());
-}
-
-TEST(RunWithRetry, TransientFailureRetriesWithBackoffThenSucceeds)
-{
-    RetryPolicy policy;
-    policy.retries = 4;
-    policy.backoffBaseMs = 10;
-    RetryAccounting accounting;
-    std::vector<std::uint32_t> slept;
-    int calls = 0;
-    runWithRetry(
-        policy,
-        [&] {
-            ++calls;
-            return calls < 3; // transient twice, then success
-        },
-        &accounting, [&](std::uint32_t ms) { slept.push_back(ms); });
-    EXPECT_EQ(calls, 3);
-    EXPECT_EQ(accounting.attempts, 3u);
-    ASSERT_EQ(accounting.backoffsMs.size(), 2u);
-    EXPECT_EQ(accounting.backoffsMs[0], 10u);
-    EXPECT_EQ(accounting.backoffsMs[1], 20u);
-    EXPECT_EQ(slept, accounting.backoffsMs);
-}
-
-TEST(RunWithRetry, AttemptsAreBounded)
-{
-    RetryPolicy policy;
-    policy.retries = 2;
-    policy.backoffBaseMs = 1;
-    RetryAccounting accounting;
-    int calls = 0;
-    runWithRetry(
-        policy,
-        [&] {
-            ++calls;
-            return true; // transient forever
-        },
-        &accounting, [](std::uint32_t) {});
-    EXPECT_EQ(calls, 3); // first attempt + 2 retries
-    EXPECT_EQ(accounting.attempts, 3u);
-    EXPECT_EQ(accounting.backoffsMs.size(), 2u);
-}
-
 // ------------------------------------------------------ config hash --
 
 TEST(ConfigHash, StableAndSensitiveToDeterministicInputsOnly)
@@ -125,7 +50,6 @@ TEST(ConfigHash, StableAndSensitiveToDeterministicInputsOnly)
     SweepOptions execution = options;
     execution.jobs = 7;
     execution.timeoutSeconds = 3;
-    execution.retry.retries = 9;
     execution.maxTasks = 1;
     execution.resume = true;
     EXPECT_EQ(base, sweepConfigHash(spec, execution));
@@ -152,7 +76,7 @@ TEST(Resume, InterruptedThenResumedSweepIsByteIdentical)
     uninterrupted.outDir = tempDir("resume_full");
     const SweepOutcome full = runSweep(spec, uninterrupted);
     ASSERT_TRUE(full.complete);
-    ASSERT_TRUE(writeSweepFiles(spec, full, uninterrupted));
+    ASSERT_TRUE(writeSweepFiles(full, uninterrupted));
 
     // Interrupt after 2 of 4 tasks: no SWEEP.json, a checkpoint instead.
     SweepOptions sliced;
@@ -163,7 +87,7 @@ TEST(Resume, InterruptedThenResumedSweepIsByteIdentical)
     EXPECT_FALSE(partial.complete);
     EXPECT_EQ(partial.completedRows, 2u);
     EXPECT_TRUE(partial.sweepJson.empty());
-    ASSERT_TRUE(writeSweepFiles(spec, partial, sliced));
+    ASSERT_TRUE(writeSweepFiles(partial, sliced));
     const fs::path ckpt = fs::path(sliced.outDir) / sweepCheckpointName();
     ASSERT_TRUE(fs::exists(ckpt));
     EXPECT_FALSE(
@@ -176,7 +100,7 @@ TEST(Resume, InterruptedThenResumedSweepIsByteIdentical)
     const SweepOutcome rest = runSweep(spec, resumed);
     EXPECT_TRUE(rest.complete);
     EXPECT_EQ(rest.resumedRows, 2u);
-    ASSERT_TRUE(writeSweepFiles(spec, rest, resumed));
+    ASSERT_TRUE(writeSweepFiles(rest, resumed));
 
     // The acceptance bar: byte-identical SWEEP.json, and the checkpoint
     // cleaned up after publication.
@@ -264,34 +188,26 @@ TEST(Resume, CheckpointRoundTripsFailedRows)
 
 TEST(Timeout, HungPointBecomesTimeoutRowAndGridDrains)
 {
-    // An unreachable wall-clock budget turns every point into a
-    // SimFault(Timeout) result row; the grid still completes and the
-    // rows carry the retry accounting (attempts = retries + 1).
+    // An unreachable wall-clock budget turns every point into one
+    // SimFault(Timeout) result row; the grid still completes.
     const SweepSpec spec = SweepSpec::smokeGrid();
     SweepOptions options;
     options.jobs = 2;
     options.timeoutSeconds = 1e-9;
-    options.retry.retries = 1;
-    options.retry.backoffBaseMs = 1;
     const SweepOutcome outcome = runSweep(spec, options);
     ASSERT_TRUE(outcome.complete);
     EXPECT_EQ(outcome.failedRows, outcome.rows.size());
-    EXPECT_EQ(outcome.retriedRows, outcome.rows.size());
     for (const SweepRow& row : outcome.rows) {
         EXPECT_TRUE(row.failed);
         EXPECT_EQ(row.faultKind,
-                  simFaultKindName(SimFaultKind::Timeout));
-        EXPECT_EQ(row.attempts, 2u);
-        ASSERT_EQ(row.retriedKinds.size(), 1u);
-        EXPECT_EQ(row.retriedKinds[0],
                   simFaultKindName(SimFaultKind::Timeout));
     }
 }
 
 TEST(Timeout, DeterministicFaultsAreNotRetried)
 {
-    // Injected deadlocks are deterministic: re-running reproduces the
-    // identical fault, so the runner must not waste attempts on them.
+    // Every point runs once: an injected deadlock, a pure function of
+    // the point's parameters and seed, is one failed row.
     SweepSpec spec;
     spec.name = "deterministic";
     spec.seed = 5;
@@ -305,13 +221,11 @@ TEST(Timeout, DeterministicFaultsAreNotRetried)
     stress.base.set("plan", ParamValue::ofText("lost_ul:p=1"));
     spec.experiments.push_back(std::move(stress));
 
-    SweepOptions options;
-    options.retry.retries = 3;
-    const SweepOutcome outcome = runSweep(spec, options);
+    const SweepOutcome outcome = runSweep(spec, SweepOptions{});
     ASSERT_TRUE(outcome.complete);
     ASSERT_EQ(outcome.failedRows, 1u);
-    EXPECT_EQ(outcome.retriedRows, 0u);
-    EXPECT_EQ(outcome.rows[0].attempts, 1u);
+    EXPECT_EQ(outcome.rows[0].faultKind,
+              simFaultKindName(SimFaultKind::Deadlock));
 }
 
 } // namespace

@@ -1,12 +1,14 @@
 /**
  * @file
  * Sweep engine tests (ctest label `sweep`): grid expansion order, spec
- * parsing, cross---jobs byte-identity of the SWEEP document, and
- * SimFault-throwing tasks landing as failed rows without tearing the
- * pool down.
+ * parsing, cross---jobs byte-identity of the SWEEP document,
+ * SimFault-throwing tasks landing as failed rows without stopping the
+ * other workers, and points a task would misread refused before any
+ * task runs.
  */
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -262,7 +264,8 @@ TEST(SweepRunnerTest, FaultingTaskBecomesFailedRowWithoutPoolTeardown)
     EXPECT_TRUE(outcome.rows[1].failed);
     EXPECT_EQ(outcome.rows[1].faultKind, "config");
     EXPECT_FALSE(outcome.rows[1].message.empty());
-    // The pool survived: the task after the fault still produced metrics.
+    // The workers survived: the task after the fault still produced
+    // metrics.
     EXPECT_FALSE(outcome.rows[2].failed);
     EXPECT_FALSE(outcome.rows[2].metrics.empty());
 
@@ -272,6 +275,67 @@ TEST(SweepRunnerTest, FaultingTaskBecomesFailedRowWithoutPoolTeardown)
            .at(std::size_t{1});
     EXPECT_TRUE(row.at("failed").asBool());
     EXPECT_EQ(row.at("fault_kind").asString(), "config");
+}
+
+/**
+ * Run @p spec with a checkpoint directory and expect SimFault(Config)
+ * naming @p what, thrown before any task ran (no checkpoint written).
+ */
+void
+expectRejectedBeforeAnyTaskRuns(const SweepSpec& spec,
+                                const std::string& what)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "sweep_rejected";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    SweepOptions options;
+    options.jobs = 2;
+    options.outDir = dir.string();
+    try {
+        runSweep(spec, options);
+        ADD_FAILURE() << "expected SimFault(Config) naming " << what;
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Config);
+        EXPECT_NE(fault.message().find(what), std::string::npos)
+            << fault.message();
+    }
+    EXPECT_FALSE(fs::exists(dir / sweepCheckpointName()))
+        << "a task ran before the spec was checked";
+}
+
+TEST(SweepRunnerTest, UnreadParameterIsRejectedBeforeAnyTaskRuns)
+{
+    // "lockpct" misspells lockPct: no stress point reads it, so the
+    // point would silently run at the default lock share.
+    SweepSpec stress = miniSpec();
+    SweepExperiment misspelt;
+    misspelt.id = "misspelt";
+    misspelt.kind = TaskKind::Stress;
+    misspelt.seeds = 1;
+    misspelt.base.set("lockpct", ParamValue::ofNumber(40));
+    stress.experiments.push_back(misspelt);
+    expectRejectedBeforeAnyTaskRuns(stress, "'lockpct'");
+
+    // lockPct is a stress parameter; no KL1 point reads it.
+    SweepSpec kl1 = miniSpec();
+    SweepExperiment locks;
+    locks.id = "kl1_locks";
+    locks.base.set("benchmark", ParamValue::ofText("Tri"));
+    locks.base.set("lockPct", ParamValue::ofNumber(40));
+    kl1.experiments.push_back(locks);
+    expectRejectedBeforeAnyTaskRuns(kl1, "'lockPct'");
+}
+
+TEST(SweepRunnerTest, UnknownBenchmarkIsRejectedBeforeAnyTaskRuns)
+{
+    // Unchecked, the lookup would end the whole process from a worker.
+    SweepSpec spec = miniSpec();
+    SweepExperiment typo;
+    typo.id = "typo";
+    typo.base.set("benchmark", ParamValue::ofText("Pascall"));
+    spec.experiments.push_back(typo);
+    expectRejectedBeforeAnyTaskRuns(spec, "'Pascall'");
 }
 
 TEST(SweepRunnerTest, ScaleOverrideAppliesToKl1Tasks)
