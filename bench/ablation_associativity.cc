@@ -17,7 +17,6 @@ run(int argc, const char* const* argv)
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: set associativity (4-Kword caches, 4-word blocks)",
            ctx);
-    BenchJson json(ctx, "ablation_associativity");
 
     const std::uint32_t way_counts[] = {1, 2, 4, 8};
 
@@ -63,13 +62,7 @@ run(int argc, const char* const* argv)
         miss_cells.push_back(fmtFixed(mean(misses), 2));
         bus.addRow(bus_cells);
         miss.addRow(miss_cells);
-
-        json.row();
-        json.set("ways", ways);
-        json.set("measured_bus_rel_mean", mean(rels));
-        json.set("measured_miss_pct_mean", mean(misses));
     }
-    json.write();
     bus.print(std::cout);
     std::printf("\n");
     miss.print(std::cout);

@@ -16,7 +16,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: bus width and memory access time", ctx);
-    BenchJson json(ctx, "ablation_bus_width");
 
     Table width("measured: bus cycles vs bus width (relative to 1 word)");
     width.setHeader({"width", "Tri", "Semi", "Puzzle", "Pascal", "mean"});
@@ -37,10 +36,6 @@ run(int argc, const char* const* argv)
         }
         cells.push_back(fmtFixed(mean(ratios), 2));
         width.addRow(cells);
-
-        json.row();
-        json.set("bus_width_words", w);
-        json.set("measured_bus_rel_mean", mean(ratios));
     }
     width.print(std::cout);
 
@@ -70,12 +65,7 @@ run(int argc, const char* const* argv)
         }
         cells.push_back(fmtFixed(mean(ratios), 2));
         memlat.addRow(cells);
-
-        json.row();
-        json.set("mem_access_cycles", lat);
-        json.set("measured_bus_rel_mean", mean(ratios));
     }
-    json.write();
     memlat.print(std::cout);
 
     std::printf(

@@ -19,7 +19,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: stop-and-copy GC under heap pressure", ctx);
-    BenchJson json(ctx, "ablation_gc");
 
     Table table("measured (Puzzle / Pascal)");
     table.setHeader({"benchmark", "heap words/PE", "GCs", "copied",
@@ -42,19 +41,9 @@ run(int argc, const char* const* argv)
                  fmtEng(static_cast<double>(r.run.gc.wordsReclaimed), 1),
                  fmtEng(static_cast<double>(r.bus.totalCycles), 2),
                  fmtFixed(r.cache.missRatio() * 100, 2)});
-
-            json.row();
-            json.set("bench", name);
-            json.set("heap_words_per_pe",
-                     static_cast<std::uint64_t>(1u << log2));
-            json.set("measured_collections", r.run.gc.collections);
-            json.set("measured_bus_cycles",
-                     static_cast<std::uint64_t>(r.bus.totalCycles));
-            json.set("measured_miss_pct", r.cache.missRatio() * 100);
         }
         table.addRule();
     }
-    json.write();
     table.print(std::cout);
 
     std::printf(

@@ -19,7 +19,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: lock protocol", ctx);
-    BenchJson json(ctx, "ablation_locks");
 
     Table table("measured: lock operations on the benchmarks");
     table.setHeader({"benchmark", "LR ops", "zero-bus LR %",
@@ -41,19 +40,7 @@ run(int argc, const char* const* argv)
                           static_cast<double>(c.unlockCount)), 1),
              fmtCount(c.lrLockWaits),
              fmtEng(static_cast<double>(saved), 2)});
-
-        json.row();
-        json.set("bench", bench.name);
-        json.set("measured_lr_count", c.lrCount);
-        json.set("measured_zero_bus_lr_pct",
-                 pct(static_cast<double>(c.lrHitExclusive),
-                     static_cast<double>(c.lrCount)));
-        json.set("measured_zero_bus_unlock_pct",
-                 pct(static_cast<double>(c.unlockNoWaiter),
-                     static_cast<double>(c.unlockCount)));
-        json.set("measured_est_cycles_saved", saved);
     }
-    json.write();
     table.print(std::cout);
 
     // Synthetic contention sweep: how the protocol behaves as real lock

@@ -58,7 +58,6 @@ run(int argc, const char* const* argv)
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: copying vs MRB-style in-place structure update",
            ctx);
-    BenchJson json(ctx, "ablation_mrb");
 
     const BenchProgram& pure = benchmarkByName("Puzzle");
     const std::string query = pure.query(ctx.scale);
@@ -77,16 +76,6 @@ run(int argc, const char* const* argv)
                                r.refs.count(Area::Heap, MemOp::W)),
                       fmtEng(static_cast<double>(r.bus.totalCycles), 2),
                       fmtEng(static_cast<double>(r.run.makespan), 2)});
-
-        json.row();
-        json.set("variant", "copying");
-        json.set("measured_heap_writes",
-                 r.refs.count(Area::Heap, MemOp::DW) +
-                     r.refs.count(Area::Heap, MemOp::W));
-        json.set("measured_bus_cycles",
-                 static_cast<std::uint64_t>(r.bus.totalCycles));
-        json.set("measured_makespan",
-                 static_cast<std::uint64_t>(r.run.makespan));
     }
     // Destructive variant: inherently sequential (the board is a single
     // mutable object), so it runs on one PE.
@@ -112,19 +101,7 @@ run(int argc, const char* const* argv)
              fmtEng(static_cast<double>(
                         emu.system().bus().stats().totalCycles), 2),
              fmtEng(static_cast<double>(stats.makespan), 2)});
-
-        json.row();
-        json.set("variant", "in_place_mrb");
-        json.set("measured_heap_writes",
-                 refs.count(Area::Heap, MemOp::DW) +
-                     refs.count(Area::Heap, MemOp::W));
-        json.set("measured_bus_cycles",
-                 static_cast<std::uint64_t>(
-                     emu.system().bus().stats().totalCycles));
-        json.set("measured_makespan",
-                 static_cast<std::uint64_t>(stats.makespan));
     }
-    json.write();
     table.print(std::cout);
 
     std::printf(

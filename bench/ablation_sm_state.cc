@@ -24,7 +24,6 @@ run(int argc, const char* const* argv)
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: SM state (PIM) vs copy-back-on-share (Illinois)",
            ctx);
-    BenchJson json(ctx, "ablation_sm_state");
 
     Table table("measured");
     table.setHeader({"benchmark", "protocol", "bus cycles", "mem busy",
@@ -42,16 +41,6 @@ run(int argc, const char* const* argv)
                                      r.bus.memoryBusyCycles), 2),
                           fmtCount(r.bus.memoryWrites),
                           fmtCount(r.cache.swapOuts)});
-
-            json.row();
-            json.set("bench", bench.name);
-            json.set("protocol", illinois ? "Illinois" : "PIM");
-            json.set("measured_bus_cycles",
-                     static_cast<std::uint64_t>(r.bus.totalCycles));
-            json.set("measured_mem_busy_cycles",
-                     static_cast<std::uint64_t>(r.bus.memoryBusyCycles));
-            json.set("measured_mem_writes", r.bus.memoryWrites);
-            json.set("measured_swap_outs", r.cache.swapOuts);
         }
         table.addRule();
     }
@@ -78,19 +67,7 @@ run(int argc, const char* const* argv)
                                  sys.bus().stats().memoryBusyCycles), 2),
                       fmtCount(sys.bus().stats().memoryWrites),
                       fmtCount(cache.swapOuts)});
-
-        json.row();
-        json.set("bench", "migratory");
-        json.set("protocol", illinois ? "Illinois" : "PIM");
-        json.set("measured_bus_cycles",
-                 static_cast<std::uint64_t>(sys.bus().stats().totalCycles));
-        json.set("measured_mem_busy_cycles",
-                 static_cast<std::uint64_t>(
-                     sys.bus().stats().memoryBusyCycles));
-        json.set("measured_mem_writes", sys.bus().stats().memoryWrites);
-        json.set("measured_swap_outs", cache.swapOuts);
     }
-    json.write();
     table.print(std::cout);
 
     std::printf(

@@ -17,7 +17,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Ablation: copy-back vs write-through", ctx);
-    BenchJson json(ctx, "ablation_write_policy");
 
     Table table("measured");
     table.setHeader({"benchmark", "protocol", "bus cycles", "rel.",
@@ -38,20 +37,9 @@ run(int argc, const char* const* argv)
                           fmtCount(r.bus.memoryWrites),
                           fmtEng(static_cast<double>(r.run.makespan),
                                  2)});
-
-            json.row();
-            json.set("bench", bench.name);
-            json.set("protocol", wt ? "write-through" : "copy-back");
-            json.set("measured_bus_cycles",
-                     static_cast<std::uint64_t>(r.bus.totalCycles));
-            json.set("measured_bus_rel", cycles / base);
-            json.set("measured_mem_writes", r.bus.memoryWrites);
-            json.set("measured_makespan",
-                     static_cast<std::uint64_t>(r.run.makespan));
         }
         table.addRule();
     }
-    json.write();
     table.print(std::cout);
 
     std::printf(

@@ -2,13 +2,13 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries.
  *
- * Every binary accepts --scale N (or REPRO_SCALE), --pes N (or
- * REPRO_PES) and --json PATH (or REPRO_JSON, writing BENCH_<name>.json
- * with measured + paper numbers), prints the paper's reference numbers
- * next to the measured ones, and exits nonzero only on simulator errors — absolute-number
- * mismatches with the paper are expected (our substrate is a synthesized
- * workload on a simulator, not ICOT's emulator on a Sequent; see
- * EXPERIMENTS.md for the shape criteria).
+ * Every binary accepts --scale N (or REPRO_SCALE) and --pes N (or
+ * REPRO_PES), refuses any other flag it does not read (exit 1), prints
+ * the paper's reference numbers next to the measured ones, and exits
+ * nonzero only on simulator errors — absolute-number mismatches with the
+ * paper are expected (our substrate is a synthesized workload on a
+ * simulator, not ICOT's emulator on a Sequent; see EXPERIMENTS.md for
+ * the shape criteria).
  */
 
 #ifndef PIMCACHE_BENCH_BENCH_UTIL_H_
@@ -18,17 +18,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
+#include <initializer_list>
 #include <iostream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
-#include "common/fs_util.h"
-#include "common/json.h"
 #include "common/options.h"
 #include "common/sim_fault.h"
 #include "common/strutil.h"
@@ -41,156 +37,30 @@ struct BenchContext {
     Options options;
     std::uint32_t scale = 2;
     std::uint32_t pes = 8;
-    std::string jsonOut; ///< --json=PATH / REPRO_JSON ("" = off).
 
+    /**
+     * Parse argv. Exits 1 on a flag other than --scale, --pes and the
+     * binary's own @p extra flags: a mistyped or retired flag would
+     * otherwise run the default tables without a word.
+     */
     static BenchContext
-    parse(int argc, const char* const* argv)
+    parse(int argc, const char* const* argv,
+          std::initializer_list<const char*> extra = {})
     {
-        // The environment cannot change under us, so each REPRO_* var is
-        // looked up exactly once per process, no matter how many
-        // contexts or rows a binary builds.
-        static const std::string json_env = [] {
-            const char* env = std::getenv("REPRO_JSON");
-            return std::string(env == nullptr ? "" : env);
-        }();
+        std::vector<const char*> known = {"scale", "pes"};
+        known.insert(known.end(), extra);
+        const std::string tool =
+            std::filesystem::path(argv[0]).filename().string();
+        if (!flagsAreKnown(tool.c_str(), argc, argv, known))
+            std::exit(1);
         BenchContext ctx;
         ctx.options = Options::parse(argc, argv);
         ctx.scale = static_cast<std::uint32_t>(ctx.options.getIntEnv(
             "scale", "REPRO_SCALE", defaultScale()));
         ctx.pes = static_cast<std::uint32_t>(
             ctx.options.getIntEnv("pes", "REPRO_PES", 8));
-        ctx.jsonOut = ctx.options.getString("json", json_env);
         return ctx;
     }
-};
-
-/**
- * Machine-readable counterpart of a bench binary's tables
- * (docs/OBSERVABILITY.md). Callers open one row per table row or sweep
- * point and set() measured and paper-reference numbers into it; write()
- * lands the document when --json=PATH (or REPRO_JSON) is set and is a
- * silent no-op otherwise, so the ASCII output never changes. A PATH
- * ending in ".json" is used as-is; anything else is treated as a
- * directory receiving "BENCH_<name>.json".
- *
- * Schema: { "name", "scale", "pes", "rows": [ { flat key/value ... } ] }.
- */
-class BenchJson
-{
-  public:
-    BenchJson(const BenchContext& ctx, std::string name)
-        : name_(std::move(name)), scale_(ctx.scale), pes_(ctx.pes)
-    {
-        const std::string& spec = ctx.jsonOut;
-        if (spec.empty())
-            return;
-        if (spec.size() >= 5 &&
-            spec.compare(spec.size() - 5, 5, ".json") == 0) {
-            path_ = spec;
-        } else {
-            path_ = spec + "/BENCH_" + name_ + ".json";
-        }
-    }
-
-    bool enabled() const { return !path_.empty(); }
-    const std::string& path() const { return path_; }
-
-    /** Start a new row; subsequent set() calls fill it. */
-    void
-    row()
-    {
-        if (enabled())
-            rows_.emplace_back();
-    }
-
-    void
-    set(const std::string& key, const std::string& v)
-    {
-        put(key, JsonWriter::quote(v));
-    }
-
-    void
-    set(const std::string& key, const char* v)
-    {
-        put(key, JsonWriter::quote(v));
-    }
-
-    void
-    set(const std::string& key, double v)
-    {
-        std::ostringstream os;
-        JsonWriter json(os, /*pretty=*/false);
-        json.value(v);
-        put(key, os.str());
-    }
-
-    void
-    set(const std::string& key, std::uint64_t v)
-    {
-        put(key, std::to_string(v));
-    }
-
-    void
-    set(const std::string& key, std::uint32_t v)
-    {
-        set(key, static_cast<std::uint64_t>(v));
-    }
-
-    void
-    set(const std::string& key, int v)
-    {
-        put(key, std::to_string(v));
-    }
-
-    /** Write the document if enabled. @return false on I/O failure. */
-    bool
-    write() const
-    {
-        if (!enabled())
-            return true;
-        std::ostringstream os;
-        JsonWriter json(os, /*pretty=*/true);
-        json.beginObject();
-        json.field("name", name_);
-        json.field("scale", static_cast<std::uint64_t>(scale_));
-        json.field("pes", static_cast<std::uint64_t>(pes_));
-        json.key("rows");
-        json.beginArray();
-        for (const auto& row : rows_) {
-            json.beginObject();
-            for (const auto& [key, literal] : row) {
-                json.key(key);
-                json.rawValue(literal);
-            }
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        os << "\n";
-        // Atomic publish (temp + rename; parents created like
-        // `mkdir -p`): a killed or failing binary never leaves a torn
-        // BENCH_*.json behind for json_check to choke on.
-        std::string error;
-        if (!writeFileAtomic(path_, os.str(), &error)) {
-            std::fprintf(stderr, "bench: %s\n", error.c_str());
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    void
-    put(const std::string& key, std::string literal)
-    {
-        if (enabled() && !rows_.empty())
-            rows_.back().emplace_back(key, std::move(literal));
-    }
-
-    std::string name_;
-    std::uint32_t scale_;
-    std::uint32_t pes_;
-    std::string path_; ///< Resolved output path ("" = disabled).
-    std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 
 /**

@@ -21,7 +21,6 @@ run(int argc, const char* const* argv)
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Figure 1: Cache Block Size vs Miss Ratio and Bus Traffic",
            ctx);
-    BenchJson json(ctx, "fig1_block_size");
 
     const std::uint32_t block_sizes[] = {1, 2, 4, 8, 16};
 
@@ -69,21 +68,7 @@ run(int argc, const char* const* argv)
         bus_cells.push_back(fmtFixed(mean(bus_vals), 2));
         miss.addRow(miss_cells);
         bus.addRow(bus_cells);
-
-        json.row();
-        json.set("block_words", bw);
-        std::size_t k = 0;
-        for (const BenchProgram& bench : allBenchmarks()) {
-            json.set("measured_miss_pct_" + std::string(bench.name),
-                     miss_vals[k]);
-            json.set("measured_bus_rel_" + std::string(bench.name),
-                     bus_vals[k]);
-            ++k;
-        }
-        json.set("measured_miss_pct_mean", mean(miss_vals));
-        json.set("measured_bus_rel_mean", mean(bus_vals));
     }
-    json.write();
     miss.print(std::cout);
     std::printf("\n");
     bus.print(std::cout);

@@ -17,7 +17,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Figure 2: Cache Capacity vs Miss Ratio and Bus Traffic", ctx);
-    BenchJson json(ctx, "fig2_capacity");
 
     const std::uint64_t capacities[] = {512, 1024, 2048, 4096, 8192,
                                         16384};
@@ -37,9 +36,6 @@ run(int argc, const char* const* argv)
             fmtCount(capacity) + "w", fmtEng(static_cast<double>(
                                           geom.storageBits()), 1)};
         std::vector<std::string> bus_cells = miss_cells;
-        json.row();
-        json.set("capacity_words", capacity);
-        json.set("storage_bits", geom.storageBits());
         for (const BenchProgram& bench : allBenchmarks()) {
             Kl1Config config = paperConfig(ctx.pes);
             config.cache.geometry = geom;
@@ -47,15 +43,10 @@ run(int argc, const char* const* argv)
             miss_cells.push_back(fmtFixed(r.cache.missRatio() * 100, 2));
             bus_cells.push_back(
                 fmtEng(static_cast<double>(r.bus.totalCycles), 2));
-            json.set("measured_miss_pct_" + std::string(bench.name),
-                     r.cache.missRatio() * 100);
-            json.set("measured_bus_cycles_" + std::string(bench.name),
-                     static_cast<std::uint64_t>(r.bus.totalCycles));
         }
         miss.addRow(miss_cells);
         bus.addRow(bus_cells);
     }
-    json.write();
     miss.print(std::cout);
     std::printf("\n");
     bus.print(std::cout);

@@ -30,10 +30,10 @@ namespace {
 /**
  * The wide-PE single-bus vs clustered comparison. Every run is a pure
  * function of its config, so the section is deterministic at any PE
- * count; rows land in the JSON document as bench "fig3_clusters".
+ * count.
  */
 void
-runClusterSection(const BenchContext& ctx, BenchJson& json)
+runClusterSection(const BenchContext& ctx)
 {
     const std::string bench_name =
         ctx.options.getString("cluster-bench", "Tri");
@@ -61,23 +61,6 @@ runClusterSection(const BenchContext& ctx, BenchJson& json)
                 config.cluster.hopCycles = hop_cycles;
             }
             results[mode] = runBenchmark(bench, ctx.scale, config);
-
-            json.row();
-            json.set("bench", "fig3_clusters");
-            json.set("benchmark", bench_name);
-            json.set("pes", pes);
-            json.set("mode", mode == 1 ? "clustered" : "single-bus");
-            json.set("cluster_size",
-                     mode == 1 ? cluster_size : std::uint32_t{0});
-            json.set("hop_cycles", hop_cycles);
-            json.set("measured_makespan",
-                     static_cast<std::uint64_t>(results[mode].run.makespan));
-            json.set("measured_bus_cycles",
-                     static_cast<std::uint64_t>(
-                         results[mode].bus.totalCycles));
-            json.set("inter_cluster_cycles",
-                     static_cast<std::uint64_t>(
-                         results[mode].bus.interClusterCycles));
         }
         const double single = static_cast<double>(results[0].run.makespan);
         const double clustered =
@@ -108,9 +91,10 @@ runClusterSection(const BenchContext& ctx, BenchJson& json)
 int
 run(int argc, const char* const* argv)
 {
-    const BenchContext ctx = BenchContext::parse(argc, argv);
+    const BenchContext ctx = BenchContext::parse(
+        argc, argv, {"clusters", "cluster-size", "hop-cycles",
+                     "cluster-max-pes", "cluster-bench"});
     banner("Figure 3: Number of PEs vs Bus Traffic", ctx);
-    BenchJson json(ctx, "fig3_pes");
 
     const std::uint32_t pe_counts[] = {1, 2, 4, 6, 8};
 
@@ -135,8 +119,6 @@ run(int argc, const char* const* argv)
         std::vector<double> goal_share;
         std::vector<double> susp_share;
         std::vector<double> comm_share;
-        json.row();
-        json.set("pes", pes);
         for (const BenchProgram& bench : allBenchmarks()) {
             const BenchResult r =
                 runBenchmark(bench, ctx.scale, paperConfig(pes));
@@ -148,11 +130,6 @@ run(int argc, const char* const* argv)
             su_cells.push_back(fmtFixed(
                 base_span[bench.name] /
                     static_cast<double>(r.run.makespan), 1));
-            json.set("measured_bus_cycles_" + std::string(bench.name),
-                     static_cast<std::uint64_t>(r.bus.totalCycles));
-            json.set("measured_speedup_" + std::string(bench.name),
-                     base_span[bench.name] /
-                         static_cast<double>(r.run.makespan));
             const double total =
                 static_cast<double>(r.bus.totalCycles);
             auto share = [&](Area area) {
@@ -172,10 +149,6 @@ run(int argc, const char* const* argv)
                        fmtFixed(mean(goal_share), 1),
                        fmtFixed(mean(susp_share), 1),
                        fmtFixed(mean(comm_share), 1)});
-        json.set("measured_share_pct_heap", mean(heap_share));
-        json.set("measured_share_pct_goal", mean(goal_share));
-        json.set("measured_share_pct_susp", mean(susp_share));
-        json.set("measured_share_pct_comm", mean(comm_share));
     }
     bus.print(std::cout);
     std::printf("\n");
@@ -191,8 +164,7 @@ run(int argc, const char* const* argv)
         "\nthe heap's share falls (paper: comm 0->29%%, heap 71->45%%).\n");
 
     if (ctx.options.getBool("clusters"))
-        runClusterSection(ctx, json);
-    json.write();
+        runClusterSection(ctx);
     return 0;
 }
 

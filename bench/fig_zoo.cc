@@ -32,7 +32,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Zoo: bus cycles across protocol x replacement", ctx);
-    BenchJson json(ctx, "fig_zoo");
 
     Table protos("bus cycles by coherence protocol (relative to pim)");
     protos.setHeader(
@@ -46,8 +45,6 @@ run(int argc, const char* const* argv)
 
     for (const char* name : kBenches) {
         const BenchProgram& bench = benchmarkByName(name);
-        json.row();
-        json.set("bench", name);
 
         BenchResult by_proto[5];
         double pim_cycles = 0;
@@ -62,14 +59,10 @@ run(int argc, const char* const* argv)
                 pim_cycles = cycles;
                 proto_cells.push_back(fmtCount(
                     by_proto[p].bus.totalCycles));
-                json.set("bus_cycles_pim", by_proto[p].bus.totalCycles);
             } else {
                 const double rel =
                     pim_cycles == 0 ? 0 : cycles / pim_cycles;
                 proto_cells.push_back(fmtFixed(rel, 3));
-                json.set(std::string("rel_") +
-                             protocolKindName(kProtocols[p]),
-                         pim_cycles == 0 ? 0.0 : cycles / pim_cycles);
             }
         }
         protos.addRow(proto_cells);
@@ -91,9 +84,6 @@ run(int argc, const char* const* argv)
                 repl_cells.push_back(
                     fmtFixed(lru_cycles == 0 ? 0 : cycles / lru_cycles,
                              3));
-                json.set(std::string("repl_rel_") +
-                             replacementKindName(kind),
-                         lru_cycles == 0 ? 0.0 : cycles / lru_cycles);
             }
         }
         repls.addRow(repl_cells);
@@ -112,9 +102,7 @@ run(int argc, const char* const* argv)
              fmtCount(dragon_updates),
              fmtCount(pim_r.bus.memoryWrites),
              fmtCount(mesi_r.bus.memoryWrites)});
-        json.set("updates_dragon", dragon_updates);
     }
-    json.write();
     protos.print(std::cout);
     std::printf("\n");
     repls.print(std::cout);

@@ -1,19 +1,17 @@
 /**
  * @file
- * Schema validator for the simulator's JSON outputs (BENCH_*.json,
- * SWEEP.json, metrics, timelines, reportAllJson documents). Parses each
+ * Schema validator for the simulator's JSON outputs (SWEEP.json,
+ * CAMPAIGN.json, attribution documents, timelines). Parses each
  * positional file and checks every --require=PATH dotted path resolves
  * to a value (numeric segments index arrays, e.g.
- * "rows.0.measured_cycles").
+ * "experiments.0.aggregate").
  *
  * --schema=NAME prepends a built-in required-path set for the
- * repository's standard documents: `bench` (a table binary's --json
- * report), `sweep` (pim_sweep's SWEEP.json, docs/EXPERIMENTS.md),
- * `sweep-perf` (its SWEEP.perf.json engine-throughput sidecar), `zoo`
- * (fig_zoo's protocol x replacement report), `campaign` (pim_soak's
- * CAMPAIGN.json, docs/ROBUSTNESS.md) and `attribution` (the miss/cycle
- * attribution report, docs/OBSERVABILITY.md). Explicit --require paths
- * are checked in addition.
+ * repository's standard documents: `sweep` (pim_sweep's SWEEP.json,
+ * docs/EXPERIMENTS.md), `campaign` (pim_soak's CAMPAIGN.json,
+ * docs/ROBUSTNESS.md) and `attribution` (the miss/cycle attribution
+ * document, docs/OBSERVABILITY.md). Explicit --require paths are
+ * checked in addition.
  *
  * Exit codes: 0 = all files parse and all required paths resolve;
  * 1 = a parse failure or a missing path. Used by the ctest `obs` and
@@ -39,19 +37,14 @@ usage()
         "json_check FILE... [--schema=NAME] [--require=PATH ...]\n"
         "  Parses each FILE as JSON and verifies every --require dotted\n"
         "  path resolves (numeric segments index arrays).\n"
-        "  --schema adds a built-in path set: bench, sweep, sweep-perf,\n"
-        "  zoo, campaign, attribution.\n");
+        "  --schema adds a built-in path set: sweep, campaign,\n"
+        "  attribution.\n");
 }
 
 /** Built-in required paths for @p schema; false if unknown. */
 bool
 schemaPaths(const std::string& schema, std::vector<std::string>* out)
 {
-    if (schema == "bench") {
-        // A table/figure binary's --json report.
-        *out = {"name", "scale", "pes", "rows.0.bench"};
-        return true;
-    }
     if (schema == "sweep") {
         // pim_sweep's SWEEP.json (docs/EXPERIMENTS.md).
         *out = {"name",
@@ -69,12 +62,6 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
                 "experiments.0.aggregate.makespan.mean",
                 "experiments.0.aggregate.makespan.min",
                 "experiments.0.aggregate.makespan.max"};
-        return true;
-    }
-    if (schema == "sweep-perf") {
-        // pim_sweep's SWEEP.perf.json engine-throughput sidecar.
-        *out = {"jobs", "tasks", "wall_seconds", "task_seconds_sum",
-                "sims_per_sec", "speedup_vs_serial"};
         return true;
     }
     if (schema == "campaign") {
@@ -95,7 +82,7 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
         return true;
     }
     if (schema == "attribution") {
-        // The attribution engine's report (docs/OBSERVABILITY.md).
+        // The attribution engine's document (docs/OBSERVABILITY.md).
         *out = {"name",
                 "pes",
                 "miss_classes.total",
@@ -116,22 +103,6 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
                 "cross_check.bus_total_cycles",
                 "cross_check.attributed_cycles",
                 "cross_check.match"};
-        return true;
-    }
-    if (schema == "zoo") {
-        // fig_zoo's protocol x replacement comparison report.
-        *out = {"name",
-                "scale",
-                "pes",
-                "rows.0.bench",
-                "rows.0.bus_cycles_pim",
-                "rows.0.rel_msi",
-                "rows.0.rel_mesi",
-                "rows.0.rel_moesi",
-                "rows.0.rel_dragon",
-                "rows.0.repl_rel_fifo",
-                "rows.0.repl_rel_random",
-                "rows.0.updates_dragon"};
         return true;
     }
     return false;
@@ -156,8 +127,7 @@ main(int argc, char** argv)
         if (!schemaPaths(schema, &required)) {
             std::fprintf(stderr,
                          "json_check: unknown schema '%s' (expected "
-                         "bench, sweep, sweep-perf, zoo, campaign "
-                         "or attribution)\n",
+                         "sweep, campaign or attribution)\n",
                          schema.c_str());
             return 1;
         }

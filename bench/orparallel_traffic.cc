@@ -21,7 +21,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("OR-parallel (Aurora-style) traffic on the PIM cache", ctx);
-    BenchJson json(ctx, "orparallel_traffic");
 
     const std::uint64_t refs_per_pe = 40000ull * ctx.scale;
     const auto trace =
@@ -68,16 +67,7 @@ run(int argc, const char* const* argv)
                       fmtEng(static_cast<double>(
                                  sys.bus().stats().memoryBusyCycles), 2),
                       fmtCount(cache.dwAllocNoFetch)});
-
-        json.row();
-        json.set("variant", variant.name);
-        json.set("measured_bus_cycles",
-                 static_cast<std::uint64_t>(sys.bus().stats().totalCycles));
-        json.set("measured_bus_rel", cycles / base);
-        json.set("measured_miss_pct", cache.missRatio() * 100);
-        json.set("measured_dw_no_fetch", cache.dwAllocNoFetch);
     }
-    json.write();
     table.print(std::cout);
 
     std::printf(

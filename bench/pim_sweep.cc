@@ -3,7 +3,8 @@
  * Parallel experiment engine CLI (docs/EXPERIMENTS.md): expands a
  * declarative sweep spec into independent simulation tasks, runs each
  * once on --jobs worker threads, and aggregates the rows into one
- * deterministic SWEEP.json (plus a SWEEP.perf.json throughput sidecar).
+ * deterministic SWEEP.json. Wall time and throughput go to stdout only
+ * (the `throughput:` line), since they vary run to run.
  *
  * `--spec=paper` reproduces the entire Table 1-5 / Figure 1-3 grid in
  * one invocation; SWEEP.json is byte-identical for any --jobs value
@@ -40,7 +41,7 @@ usage()
         "                      CI smoke, or the 128-1024 PE clustered\n"
         "                      scaling grid (docs/ARCHITECTURE.md)\n"
         "  --jobs=N            worker threads (default: hardware)\n"
-        "  --out=DIR           write SWEEP.json and SWEEP.perf.json here\n"
+        "  --out=DIR           write SWEEP.json here\n"
         "                      (created if missing; default: no files,\n"
         "                      stdout only)\n"
         "  --scale=N           override every kl1 task's workload scale\n"
@@ -166,7 +167,7 @@ main(int argc, char** argv)
             return 1;
         if (!options.outDir.empty()) {
             if (outcome.complete) {
-                std::printf("wrote %s/SWEEP.json (+ perf sidecar)\n",
+                std::printf("wrote %s/SWEEP.json\n",
                             options.outDir.c_str());
             } else {
                 std::printf("partial run (%zu/%zu tasks): checkpoint "

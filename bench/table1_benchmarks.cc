@@ -42,7 +42,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Table 1: Short Summary of Benchmarks", ctx);
-    BenchJson json(ctx, "table1_benchmarks");
 
     Table table("measured (simulated machine, " + std::to_string(ctx.pes) +
                 " PEs)");
@@ -73,23 +72,7 @@ run(int argc, const char* const* argv)
                       fmtCount(static_cast<std::uint64_t>(
                           row.suspensions)),
                       fmtEng(row.instr), fmtEng(row.refs)});
-        json.row();
-        json.set("bench", row.bench);
-        json.set("measured_lines", par.sourceLines);
-        json.set("measured_cycles", par.run.makespan);
-        json.set("measured_speedup", speedup);
-        json.set("measured_reductions", par.run.reductions);
-        json.set("measured_suspensions", par.run.suspensions);
-        json.set("measured_instructions", par.run.instructions);
-        json.set("measured_refs", par.run.memoryRefs);
-        json.set("paper_lines", row.lines);
-        json.set("paper_speedup", row.su);
-        json.set("paper_reductions", row.reductions);
-        json.set("paper_suspensions", row.suspensions);
-        json.set("paper_instructions", row.instr);
-        json.set("paper_refs", row.refs);
     }
-    json.write();
     table.print(std::cout);
     std::printf("\n");
     paper.print(std::cout);

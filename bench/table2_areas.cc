@@ -22,7 +22,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Table 2: % Memory References and Bus Cycles by Area", ctx);
-    BenchJson json(ctx, "table2_areas");
 
     struct Row {
         std::string name;
@@ -66,29 +65,7 @@ run(int argc, const char* const* argv)
                           data_bus);
         }
         rows.push_back(row);
-
-        json.row();
-        json.set("bench", bench.name);
-        for (int a = 0; a < kNumAreas; ++a) {
-            const std::string area = areaName(static_cast<Area>(a));
-            json.set("measured_ref_pct_" + area, row.refPct[a]);
-            json.set("measured_bus_pct_" + area, row.busPct[a]);
-        }
     }
-    // Paper Table 2 reports averages over the four benchmarks.
-    json.row();
-    json.set("bench", "paper_mean");
-    json.set("paper_ref_pct_inst", 42.87);
-    json.set("paper_ref_pct_heap", 34.31);
-    json.set("paper_ref_pct_goal", 20.71);
-    json.set("paper_ref_pct_susp", 0.26);
-    json.set("paper_ref_pct_comm", 1.86);
-    json.set("paper_bus_pct_inst", 4.52);
-    json.set("paper_bus_pct_heap", 65.70);
-    json.set("paper_bus_pct_goal", 11.16);
-    json.set("paper_bus_pct_susp", 1.14);
-    json.set("paper_bus_pct_comm", 17.49);
-    json.write();
 
     auto section = [&](const char* caption,
                        double (Row::*field)[6], bool include_inst) {

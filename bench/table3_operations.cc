@@ -16,7 +16,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Table 3: % Memory References by Operation", ctx);
-    BenchJson json(ctx, "table3_operations");
 
     struct Row {
         std::string name;
@@ -62,33 +61,7 @@ run(int argc, const char* const* argv)
              },
              heap);
         rows.push_back(row);
-
-        static const char* const kOps[] = {"r", "lr", "w", "uw_u"};
-        json.row();
-        json.set("bench", bench.name);
-        for (int k = 0; k < 4; ++k) {
-            const std::string op = kOps[k];
-            json.set("measured_all_pct_" + op, row.all[k]);
-            json.set("measured_data_pct_" + op, row.data[k]);
-            json.set("measured_heap_pct_" + op, row.heap[k]);
-        }
     }
-    // Paper Table 3 reports averages over the four benchmarks.
-    json.row();
-    json.set("bench", "paper_mean");
-    json.set("paper_all_pct_r", 78.95);
-    json.set("paper_all_pct_lr", 2.66);
-    json.set("paper_all_pct_w", 15.71);
-    json.set("paper_all_pct_uw_u", 2.70);
-    json.set("paper_data_pct_r", 58.91);
-    json.set("paper_data_pct_lr", 5.14);
-    json.set("paper_data_pct_w", 30.73);
-    json.set("paper_data_pct_uw_u", 5.22);
-    json.set("paper_heap_pct_r", 57.64);
-    json.set("paper_heap_pct_lr", 10.39);
-    json.set("paper_heap_pct_w", 21.38);
-    json.set("paper_heap_pct_uw_u", 10.60);
-    json.write();
 
     auto section = [&](const char* caption, double (Row::*field)[4]) {
         Table table(caption);

@@ -7,8 +7,6 @@
  * avoided by DW, invalidations avoided by RI).
  */
 
-#include <cctype>
-
 #include "bench_util.h"
 
 namespace pim::kl1::bench {
@@ -31,7 +29,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Table 4: Effect of Optimized Cache Commands", ctx);
-    BenchJson json(ctx, "table4_optimizations");
 
     const OptPolicy policies[] = {OptPolicy::none(), OptPolicy::heapOnly(),
                                   OptPolicy::goalOnly(),
@@ -49,8 +46,6 @@ run(int argc, const char* const* argv)
         double base = 0;
         BenchResult none_result;
         BenchResult all_result;
-        json.row();
-        json.set("bench", row.bench);
         for (const OptPolicy& policy : policies) {
             const BenchResult r = runBenchmark(
                 bench, ctx.scale, paperConfig(ctx.pes, policy));
@@ -63,17 +58,8 @@ run(int argc, const char* const* argv)
             if (policy.name() == "All")
                 all_result = r;
             cells.push_back(fmtFixed(base == 0 ? 0 : cycles / base, 2));
-            std::string key = "measured_rel_" + policy.name();
-            for (char& c : key)
-                c = static_cast<char>(std::tolower(
-                    static_cast<unsigned char>(c)));
-            json.set(key, base == 0 ? 0.0 : cycles / base);
         }
         table.addRow(cells);
-        json.set("paper_rel_heap", row.heap);
-        json.set("paper_rel_goal", row.goal);
-        json.set("paper_rel_comm", row.comm);
-        json.set("paper_rel_all", row.all);
 
         auto ratio = [](std::uint64_t after, std::uint64_t before) {
             return std::string(fmtCount(before)) + " -> " +
@@ -88,7 +74,6 @@ run(int argc, const char* const* argv)
              fmtCount(all_result.cache.dwAllocNoFetch),
              fmtCount(all_result.cache.purges)});
     }
-    json.write();
     table.print(std::cout);
     std::printf("\n");
     detail.print(std::cout);

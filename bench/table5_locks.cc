@@ -28,7 +28,6 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(argc, argv);
     banner("Table 5: Hit Ratios of No-Cost Lock Operations", ctx);
-    BenchJson json(ctx, "table5_locks");
 
     Table table("measured");
     table.setHeader({"", "Tri", "Semi", "Puzzle", "Pascal"});
@@ -52,22 +51,7 @@ run(int argc, const char* const* argv)
             un == 0 ? 0 : static_cast<double>(c.unlockNoWaiter) / un, 3));
         lock_share.push_back(
             fmtFixed(pct(lr, static_cast<double>(r.refs.total())), 2));
-
-        json.row();
-        json.set("bench", row.bench);
-        json.set("measured_lr_hit",
-                 lr == 0 ? 0.0 : static_cast<double>(c.lrHit) / lr);
-        json.set("measured_lr_hit_exclusive",
-                 lr == 0 ? 0.0
-                         : static_cast<double>(c.lrHitExclusive) / lr);
-        json.set("measured_unlock_no_waiter",
-                 un == 0 ? 0.0
-                         : static_cast<double>(c.unlockNoWaiter) / un);
-        json.set("paper_lr_hit", row.lr_hit);
-        json.set("paper_lr_hit_exclusive", row.lr_excl);
-        json.set("paper_unlock_no_waiter", row.unlock_free);
     }
-    json.write();
     table.addRow(hit);
     table.addRow(excl);
     table.addRow(free_unlock);

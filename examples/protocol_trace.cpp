@@ -8,12 +8,11 @@
  *
  *   $ ./protocol_trace
  *   $ ./protocol_trace --timeline-out=handoff.json \
- *         --report-json=report.json --attribution-out=attribution.json
+ *         --attribution-out=attribution.json
  *
  * The observability flags (docs/OBSERVABILITY.md) record the optimized
- * handoff: a Perfetto-loadable Chrome trace-event timeline, the
- * reportAllJson document, and the miss/cycle attribution report (which
- * also lands inside the report document when both flags are given).
+ * handoff: a Perfetto-loadable Chrome trace-event timeline and the
+ * miss/cycle attribution document. Any other flag exits 1.
  */
 
 #include <cstdio>
@@ -22,7 +21,6 @@
 #include "common/options.h"
 #include "obs/attribution.h"
 #include "obs/timeline.h"
-#include "sim/report_json.h"
 #include "sim/system.h"
 
 namespace {
@@ -66,8 +64,6 @@ runHandoff(bool optimized, const Options& opts)
                                   geom.blockWords, geom.ways * geom.sets);
     const std::string timeline_out =
         optimized ? opts.getString("timeline-out", "") : "";
-    const std::string report_out =
-        optimized ? opts.getString("report-json", "") : "";
     const std::string attribution_out =
         optimized ? opts.getString("attribution-out", "") : "";
     if (!timeline_out.empty())
@@ -131,12 +127,6 @@ runHandoff(bool optimized, const Options& opts)
                         attribution.classifiedMisses()),
                     attribution_out.c_str());
     }
-    if (!report_out.empty() &&
-        reportAllJsonFile(sys, report_out,
-                          attribution_out.empty() ? nullptr
-                                                  : &attribution)) {
-        std::printf("report -> %s\n", report_out.c_str());
-    }
 }
 
 } // namespace
@@ -144,6 +134,10 @@ runHandoff(bool optimized, const Options& opts)
 int
 main(int argc, char** argv)
 {
+    static const char* const kKnownFlags[] = {"timeline-out",
+                                              "attribution-out"};
+    if (!pim::flagsAreKnown("protocol_trace", argc, argv, kKnownFlags))
+        return 1;
     const pim::Options opts = pim::Options::parse(argc, argv);
     std::printf("The write-once/read-once goal handoff of paper "
                 "Section 2.3,\nwith and without the Section 3.2 "

@@ -13,7 +13,8 @@
 # (`PIM_...`, `REPRO_...`) must still appear in the code, the root
 # CMakeLists.txt or scripts/, so the docs cannot silently rot as files
 # move or APIs, flags, tools, labels, macros and variables are renamed
-# and deleted.
+# and deleted. Code spans are matched per markdown paragraph, so a span
+# that a line break splits is checked whole.
 #
 #   scripts/check_docs.sh    # README.md, DESIGN.md, EXPERIMENTS.md,
 #                            # docs/*.md and the verify skill
@@ -37,10 +38,33 @@ complain() {
     fail=1
 }
 
+# Print doc $1 with the lines of each paragraph, list item or table row
+# joined onto one line (continuation indent dropped), so a code span
+# that a line break splits can be matched whole. Fence lines and fenced
+# blocks pass through unchanged.
+joined() {
+    awk '
+    function flush() { if (para != "") print para; para = "" }
+    /^[ \t]*```/ { flush(); in_fence = !in_fence; print; next }
+    in_fence { print; next }
+    /^[ \t]*$/ { flush(); print; next }
+    /^[ \t]*(([-*+]|[0-9]+\.)[ \t]|[|#])/ { flush() }
+    {
+        line = $0
+        if (para != "") {
+            sub(/^[ \t]+/, "", line)
+            line = para " " line
+        }
+        para = line
+    }
+    END { flush() }' "$1"
+}
+
 # Print "<tool> <flag>" for every --flag a command in doc $1 passes to
 # pim_<tool>, and "- <flag>" for every other --flag in a code span. A
-# command is a code span or a fenced-block line (backslash continuations
-# joined) that invokes pim_<tool>, bare or after bench/ or
+# command is a code span (paragraph lines joined) or a fenced-block line
+# (backslash continuations joined) that invokes pim_<tool>, bare or
+# after bench/ or
 # ./build*/bench/; the tool's flags are those after its name. Spans and
 # lines that run cmake, ctest, python3, git or gcovr pass flags to those
 # tools, not to ours, and are skipped.
@@ -80,13 +104,14 @@ command_flags() {
             rest = substr(rest, RSTART + RLENGTH)
             command(span, 0)
         }
-    }' "$1"
+    }' < <(joined "$1")
 }
 
 check_file() {
     local doc=$1
-    local dir
+    local dir text
     dir=$(dirname "${doc}")
+    text=$(joined "${doc}")
 
     # Markdown links: [text](target). Skip URLs and pure anchors;
     # strip any #anchor suffix before testing existence.
@@ -128,7 +153,7 @@ check_file() {
             complain "${doc}" "API ${name}"
         fi
     done < <(grep -oE '`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
-                  "${doc}" | sed -E 's/^`//' | sort -u)
+                  <<< "${text}" | sed -E 's/^`//' | sort -u)
 
     # Backticked bare type names: `CamelCase`, the whole code span. The
     # name must appear as a whole word somewhere in the code.
@@ -136,7 +161,7 @@ check_file() {
         if ! grep -rqw -- "${name}" "${code_dirs[@]}"; then
             complain "${doc}" "type ${name}"
         fi
-    done < <(grep -oE '`[A-Z][a-z0-9]+([A-Z][A-Za-z0-9]*)+`' "${doc}" \
+    done < <(grep -oE '`[A-Z][a-z0-9]+([A-Z][A-Za-z0-9]*)+`' <<< "${text}" \
                   | tr -d '`' | sort -u)
 
     # Command flags (command_flags above): a flag passed to pim_<tool>
@@ -161,7 +186,7 @@ check_file() {
             complain "${doc}" "tool ${tool}"
         fi
     done < <(grep -oE '`(\./build[A-Za-z0-9_-]*/bench/|bench/)?pim_[A-Za-z0-9_]+[` ]' \
-                  "${doc}" | sed -E 's/^`(.*\/)?//; s/[` ]$//' | sort -u)
+                  <<< "${text}" | sed -E 's/^`(.*\/)?//; s/[` ]$//' | sort -u)
 
     # ctest labels: a label named as `ctest ... -L NAME` or as
     # "label `NAME`" must be set on some test in tests/CMakeLists.txt.
@@ -169,9 +194,9 @@ check_file() {
         if ! grep -qxF -- "${label}" <<< "${labels}"; then
             complain "${doc}" "label ${label}"
         fi
-    done < <({ grep -oE '`ctest [^`]*-L +[A-Za-z0-9_-]+' "${doc}" \
+    done < <({ grep -oE '`ctest [^`]*-L +[A-Za-z0-9_-]+' <<< "${text}" \
                    | sed -E 's/.*-L +//'
-               grep -oiE 'label `[A-Za-z0-9_-]+`' "${doc}" \
+               grep -oiE 'label `[A-Za-z0-9_-]+`' <<< "${text}" \
                    | sed -E 's/.*`(.*)`/\1/'; } | sort -u)
 
     # Macro, environment-variable and build-option names: every
@@ -182,7 +207,7 @@ check_file() {
         if ! grep -rqw -- "${name}" "${name_dirs[@]}"; then
             complain "${doc}" "name ${name}"
         fi
-    done < <(grep -oE '`[^`]+`' "${doc}" \
+    done < <(grep -oE '`[^`]+`' <<< "${text}" \
                   | grep -oE '(PIM|REPRO)_[A-Z0-9_]*[A-Z0-9]' | sort -u)
 }
 

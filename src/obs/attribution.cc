@@ -1,34 +1,12 @@
 #include "obs/attribution.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "common/fs_util.h"
 #include "common/json.h"
-#include "common/table.h"
 
 namespace pim {
-
-namespace {
-
-/** Percentage string with one decimal, "0.0" when whole is zero. */
-std::string
-pctString(double part, double whole)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f",
-                  whole == 0.0 ? 0.0 : 100.0 * part / whole);
-    return buf;
-}
-
-std::string
-u64(std::uint64_t v)
-{
-    return std::to_string(v);
-}
-
-} // namespace
 
 const char*
 missClassName(MissClass cls)
@@ -553,89 +531,11 @@ AttributionEngine::crossCheck(const BusStats& stats) const
 }
 
 std::string
-AttributionEngine::report(std::size_t top_n) const
+AttributionEngine::jsonDocument(const BusStats& stats,
+                                std::size_t top_n) const
 {
-    std::ostringstream out;
-    const double total_cycles = static_cast<double>(attributedCycles());
-    const double total_misses = static_cast<double>(classifiedMisses());
-
-    Table misses("miss classification (shadow tags)");
-    misses.setHeader({"class", "misses", "%"});
-    for (int c = 0; c < kNumMissClasses; ++c) {
-        const std::uint64_t count = missByClass_[c];
-        misses.addRow({missClassName(static_cast<MissClass>(c)),
-                       u64(count),
-                       pctString(static_cast<double>(count), total_misses)});
-    }
-    misses.addRule();
-    misses.addRow({"total", u64(classifiedMisses()), "100.0"});
-    out << misses.toString() << "\n";
-
-    Table buckets("bus cycles by cause (sums exactly to BusStats)");
-    buckets.setHeader({"bucket", "cycles", "trans", "%"});
-    for (int b = 0; b < kNumBusBuckets; ++b) {
-        buckets.addRow(
-            {busBucketName(static_cast<BusBucket>(b)),
-             u64(cyclesByBucket_[b]), u64(transByBucket_[b]),
-             pctString(static_cast<double>(cyclesByBucket_[b]),
-                       total_cycles)});
-    }
-    buckets.addRule();
-    buckets.addRow({"total", u64(attributedCycles()),
-                    u64(attributedTransactions()), "100.0"});
-    out << buckets.toString() << "\n";
-
-    Table by_op("bus cycles by in-flight operation");
-    by_op.setHeader({"op", "fill", "c2c", "copyback", "inval", "lock",
-                     "word-wr", "x-clu", "update", "total"});
-    for (int o = 0; o <= kNumMemOps; ++o) {
-        Cycles row_total = 0;
-        for (int b = 0; b < kNumBusBuckets; ++b)
-            row_total += opCycles_[o][b];
-        if (row_total == 0)
-            continue;
-        by_op.addRow({o == kNumMemOps
-                          ? "(none)"
-                          : memOpName(static_cast<MemOp>(o)),
-                      u64(opCycles_[o][0]), u64(opCycles_[o][1]),
-                      u64(opCycles_[o][2]), u64(opCycles_[o][3]),
-                      u64(opCycles_[o][4]), u64(opCycles_[o][5]),
-                      u64(opCycles_[o][6]), u64(opCycles_[o][7]),
-                      u64(row_total)});
-    }
-    out << by_op.toString() << "\n";
-
-    Table hot("hottest blocks by bus occupancy");
-    hot.setHeader({"block", "cycles", "trans", "fills", "inv-miss",
-                   "ping-pong"});
-    for (const BlockHeat& row : hottestBlocks(top_n)) {
-        hot.addRow({u64(row.block), u64(row.busCycles),
-                    u64(row.transactions), u64(row.fills),
-                    u64(row.invMisses), u64(row.maxPingPong)});
-    }
-    out << hot.toString() << "\n";
-
-    Table lock_table("most contended lock words");
-    lock_table.setHeader({"word", "acquires", "contended"});
-    for (const LockHeat& row : hottestLocks(top_n))
-        lock_table.addRow({u64(row.word), u64(row.acquires),
-                           u64(row.contended)});
-    out << lock_table.toString() << "\n";
-
-    Table wait_table("longest busy-waits (per parked-on block)");
-    wait_table.setHeader({"block", "parks", "wakes", "total wait",
-                          "max wait"});
-    for (const WaitHeat& row : longestWaits(top_n))
-        wait_table.addRow({u64(row.block), u64(row.parks), u64(row.wakes),
-                           u64(row.totalWait), u64(row.maxWait)});
-    out << wait_table.toString();
-    return out.str();
-}
-
-void
-AttributionEngine::writeJson(JsonWriter& json, const BusStats& stats,
-                             std::size_t top_n) const
-{
+    std::ostringstream os;
+    JsonWriter json(os, /*pretty=*/true);
     json.beginObject();
     json.field("name", "attribution");
     json.field("pes", static_cast<std::uint64_t>(numPes_));
@@ -749,15 +649,6 @@ AttributionEngine::writeJson(JsonWriter& json, const BusStats& stats,
     json.endObject();
 
     json.endObject();
-}
-
-std::string
-AttributionEngine::jsonDocument(const BusStats& stats,
-                                std::size_t top_n) const
-{
-    std::ostringstream os;
-    JsonWriter json(os, /*pretty=*/true);
-    writeJson(json, stats, top_n);
     os << "\n";
     return os.str();
 }

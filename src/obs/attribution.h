@@ -49,8 +49,6 @@
 
 namespace pim {
 
-class JsonWriter;
-
 /** Why a miss happened, from the shadow tag state. */
 enum class MissClass : std::uint8_t {
     Cold = 0,         ///< First time this PE ever held the block.
@@ -181,14 +179,7 @@ class AttributionEngine final : public EventSink
      */
     std::string crossCheck(const BusStats& stats) const;
 
-    /** The attribution report as ASCII tables. */
-    std::string report(std::size_t top_n = 8) const;
-
-    /** The attribution section as a JSON object (schema `attribution`). */
-    void writeJson(JsonWriter& json, const BusStats& stats,
-                   std::size_t top_n = 16) const;
-
-    /** writeJson as a standalone pretty document string. */
+    /** The attribution as a pretty JSON document (schema `attribution`). */
     std::string jsonDocument(const BusStats& stats,
                              std::size_t top_n = 16) const;
 

@@ -102,10 +102,6 @@ runKl1Task(SweepRow& row, double timeout_seconds)
 {
     const SweepPoint& point = row.params;
     const std::string bench_name = point.text("benchmark", "");
-    if (bench_name.empty()) {
-        throw PIM_SIM_FAULT(SimFaultKind::Config,
-                            "sweep: kl1 task needs a 'benchmark' param");
-    }
     const std::uint32_t scale =
         static_cast<std::uint32_t>(point.number("scale", 1));
     const std::uint32_t pes =
@@ -224,8 +220,9 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
 
 /**
  * Refuse a point its task would misread: a parameter name the task kind
- * never reads (it would silently run at the default), or an unknown
- * benchmark (benchmarkByName would end the process from a worker).
+ * never reads (it would silently run at the default), or a KL1 point
+ * with a missing or unknown benchmark (benchmarkByName would end the
+ * process from a worker).
  */
 void
 checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
@@ -242,8 +239,13 @@ checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
                                 " points have no parameter '", name, "'");
         }
     }
-    if (!kl1 || !point.has("benchmark"))
+    if (!kl1)
         return;
+    if (!point.has("benchmark")) {
+        throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
+                            experiment.id,
+                            "': kl1 points need a 'benchmark' parameter");
+    }
     const std::string name = point.text("benchmark", "");
     for (const bench::BenchProgram& program : bench::allBenchmarks()) {
         if (program.name == name)
@@ -518,7 +520,6 @@ loadCheckpoint(const std::string& path, const std::string& hash,
             row.failed ? entry.at("fault_kind").asString() : "";
         row.message = row.failed ? entry.at("message").asString() : "";
         row.done = true;
-        row.resumed = true;
         ++restored;
     }
     return restored;
@@ -669,74 +670,31 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     return outcome;
 }
 
-std::string
-renderPerfJson(const SweepOutcome& outcome)
-{
-    std::ostringstream os;
-    JsonWriter json(os, /*pretty=*/true);
-    json.beginObject();
-    json.field("jobs", static_cast<std::uint64_t>(outcome.jobs));
-    json.field("tasks", static_cast<std::uint64_t>(outcome.rows.size()));
-    json.field("completed_rows",
-               static_cast<std::uint64_t>(outcome.completedRows));
-    json.field("resumed_rows",
-               static_cast<std::uint64_t>(outcome.resumedRows));
-    json.field("wall_seconds", outcome.wallSeconds);
-    json.field("task_seconds_sum", outcome.taskSecondsSum);
-    json.field("sims_per_sec",
-               outcome.wallSeconds == 0
-                   ? 0.0
-                   : static_cast<double>(outcome.rows.size()) /
-                         outcome.wallSeconds);
-    // Speedup vs --jobs=1, estimated as serial time (the sum of task
-    // times) over wall time; exact when tasks dominate the run.
-    json.field("speedup_vs_serial",
-               outcome.wallSeconds == 0
-                   ? 1.0
-                   : outcome.taskSecondsSum / outcome.wallSeconds);
-    json.endObject();
-    return os.str();
-}
-
 bool
 writeSweepFiles(const SweepOutcome& outcome, const SweepOptions& options)
 {
     namespace fs = std::filesystem;
-    if (options.outDir.empty())
+    // A partial run's only valid artifact is the checkpoint runSweep
+    // already wrote; a half-grid SWEEP.json would masquerade as a full
+    // one.
+    if (options.outDir.empty() || !outcome.complete)
         return true;
 
-    bool ok = true;
-    const auto write_file = [&ok](const fs::path& path,
-                                  const std::string& content) {
-        // Atomic publish (temp + rename): a killed process leaves the
-        // previous complete document, never a torn half-written one.
-        std::string error;
-        if (!writeFileAtomic(path.string(), content, &error)) {
-            std::fprintf(stderr, "pim_sweep: %s\n", error.c_str());
-            ok = false;
-        }
-    };
-
-    if (!outcome.complete) {
-        // Partial run: the checkpoint (already on disk, written by
-        // runSweep) is the only valid artifact. Refresh the perf
-        // sidecar so operators can see slice throughput, but never
-        // publish a partial SWEEP.json.
-        write_file(fs::path(options.outDir) / "SWEEP.perf.json",
-                   renderPerfJson(outcome) + "\n");
-        return ok;
+    // Atomic publish (temp + rename): a killed process leaves the
+    // previous complete document, never a torn half-written one.
+    std::string error;
+    if (!writeFileAtomic((fs::path(options.outDir) / "SWEEP.json").string(),
+                         outcome.sweepJson, &error)) {
+        std::fprintf(stderr, "pim_sweep: %s\n", error.c_str());
+        return false;
     }
-
-    write_file(fs::path(options.outDir) / "SWEEP.json", outcome.sweepJson);
-    write_file(fs::path(options.outDir) / "SWEEP.perf.json",
-               renderPerfJson(outcome) + "\n");
 
     // The grid is fully drained and published; the checkpoint would
     // only confuse a later --resume of a different grid in the same
     // directory.
     std::error_code ec;
     fs::remove(fs::path(options.outDir) / sweepCheckpointName(), ec);
-    return ok;
+    return true;
 }
 
 } // namespace pim::sweep

@@ -10,7 +10,8 @@
  * index), results land in a slot pre-assigned by task index, and all
  * aggregation runs single-threaded after the workers join — so the
  * SWEEP document is byte-identical for any --jobs value. Wall-clock
- * measurements are intentionally kept out of it (SWEEP.perf.json).
+ * measurements are intentionally kept out of it (pim_sweep prints them
+ * on its `throughput:` line).
  */
 
 #ifndef PIMCACHE_SWEEP_SWEEP_RUNNER_H_
@@ -34,11 +35,8 @@ struct SweepRow {
     bool failed = false;        ///< Task threw / detected a SimFault.
     std::string faultKind;      ///< simFaultKindName when failed.
     std::string message;        ///< Fault message when failed.
-    double seconds = 0;         ///< Thread CPU time (perf only, not in SWEEP).
-    // Execution bookkeeping (perf sidecar / checkpoint only, never in
-    // SWEEP.json).
+    double seconds = 0;         ///< Thread CPU time (never in SWEEP).
     bool done = false;          ///< The slot holds a final result.
-    bool resumed = false;       ///< Result restored from SWEEP.ckpt.json.
 };
 
 /** Execution options (the pim_sweep CLI surface). */
@@ -111,16 +109,10 @@ std::string sweepConfigHash(const SweepSpec& spec,
 inline const char* sweepCheckpointName() { return "SWEEP.ckpt.json"; }
 
 /**
- * Render the perf sidecar (jobs, wall seconds, sims/sec, speedup
- * estimate = task-seconds-sum / wall). Lives outside SWEEP.json so the
- * deterministic document stays byte-identical across --jobs values.
- */
-std::string renderPerfJson(const SweepOutcome& outcome);
-
-/**
- * Write SWEEP.json and SWEEP.perf.json into options.outDir (created,
- * parents included, when missing); a partial run writes only the perf
- * sidecar. @return false if any file cannot be written.
+ * Publish a complete run's SWEEP.json into options.outDir (created,
+ * parents included, when missing) and remove the drained checkpoint; a
+ * partial run writes nothing (its checkpoint is already on disk).
+ * @return false if SWEEP.json cannot be written.
  */
 bool writeSweepFiles(const SweepOutcome& outcome,
                      const SweepOptions& options);

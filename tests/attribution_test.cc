@@ -15,7 +15,6 @@
 
 #include "common/json.h"
 #include "obs/attribution.h"
-#include "sim/report_json.h"
 #include "sim/system.h"
 
 namespace pim {
@@ -263,7 +262,7 @@ TEST(Heat, LockContentionAndWaitTables)
     rig.checkExact();
 }
 
-// ------------------------------------------------- report and JSON
+// ------------------------------------------------------------ JSON
 
 TEST(AttributionJson, DocumentShapeAndCrossCheck)
 {
@@ -281,23 +280,6 @@ TEST(AttributionJson, DocumentShapeAndCrossCheck)
               rig.attr->classifiedMisses());
     ASSERT_NE(parsed.findPath("buckets.0.cycles"), nullptr);
     ASSERT_NE(parsed.findPath("by_pe.0.pe"), nullptr);
-    // The ASCII report renders every table without blowing up.
-    const std::string report = rig.attr->report();
-    EXPECT_NE(report.find("miss classification"), std::string::npos);
-    EXPECT_NE(report.find("bus cycles by cause"), std::string::npos);
-}
-
-TEST(AttributionJson, ReportAllJsonEmbedsSectionOnlyWhenAsked)
-{
-    Rig rig;
-    rig.access(0, MemOp::R, 0);
-    const JsonValue without = JsonValue::parse(reportAllJson(*rig.sys));
-    EXPECT_FALSE(without.has("attribution"));
-    const std::string with = reportAllJson(*rig.sys, rig.attr.get());
-    const JsonValue parsed = JsonValue::parse(with);
-    ASSERT_TRUE(parsed.has("attribution"));
-    EXPECT_EQ(parsed.findPath("attribution.cross_check.match")->asBool(),
-              true);
 }
 
 TEST(AttributionJson, CrossCheckReportsDoctoredStats)

@@ -3,8 +3,8 @@
  * Observability-layer tests (docs/OBSERVABILITY.md): the JSON
  * writer/parser pair, the timeline recorder's Chrome trace-event output
  * (well-formed, every duration begin matched by an end per track,
- * bus-track durations equal to BusStats), reportAllJson agreeing with
- * the live System totals, and attached sinks leaving the run unchanged.
+ * bus-track durations equal to BusStats), and attached sinks leaving the
+ * run unchanged.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "common/sim_fault.h"
 #include "obs/attribution.h"
 #include "obs/timeline.h"
-#include "sim/report_json.h"
 #include "sim/system.h"
 
 namespace pim {
@@ -240,37 +239,6 @@ TEST(Timeline, AutoClosesAbortedDurations)
     }
     EXPECT_EQ(b, 1);
     EXPECT_EQ(e, 1);
-}
-
-// --------------------------------------------------------- reportAllJson
-
-TEST(ReportJson, TotalsMatchSystem)
-{
-    System sys(smallSystem());
-    driveWorkload(sys);
-
-    const JsonValue doc = JsonValue::parse(reportAllJson(sys));
-    EXPECT_EQ(doc.at("num_pes").asNumber(), 4.0);
-    EXPECT_EQ(doc.at("areas").at("total_refs").asNumber(),
-              static_cast<double>(sys.refStats().total()));
-    EXPECT_EQ(doc.at("areas").at("total_bus_cycles").asNumber(),
-              static_cast<double>(sys.bus().stats().totalCycles));
-
-    const CacheStats cache = sys.totalCacheStats();
-    EXPECT_EQ(doc.at("cache_summary").at("accesses").asNumber(),
-              static_cast<double>(cache.accesses));
-    EXPECT_EQ(doc.at("cache_summary").at("misses").asNumber(),
-              static_cast<double>(cache.misses));
-    EXPECT_EQ(doc.at("locks").at("lr_count").asNumber(),
-              static_cast<double>(cache.lrCount));
-
-    // Per-pattern transactions must sum to the bus total.
-    double pattern_cycles = 0;
-    for (const JsonValue& row :
-         doc.at("bus_patterns").at("by_pattern").asArray())
-        pattern_cycles += row.at("cycles").asNumber();
-    EXPECT_EQ(pattern_cycles,
-              static_cast<double>(sys.bus().stats().totalCycles));
 }
 
 // ------------------------------------------------- zero-overhead wiring

@@ -336,6 +336,14 @@ TEST(SweepRunnerTest, UnknownBenchmarkIsRejectedBeforeAnyTaskRuns)
     typo.base.set("benchmark", ParamValue::ofText("Pascall"));
     spec.experiments.push_back(typo);
     expectRejectedBeforeAnyTaskRuns(spec, "'Pascall'");
+
+    // A KL1 point naming no benchmark at all is refused the same way.
+    SweepSpec missing = miniSpec();
+    SweepExperiment none;
+    none.id = "none";
+    none.base.set("scale", ParamValue::ofNumber(1));
+    missing.experiments.push_back(none);
+    expectRejectedBeforeAnyTaskRuns(missing, "'benchmark'");
 }
 
 TEST(SweepRunnerTest, ScaleOverrideAppliesToKl1Tasks)
