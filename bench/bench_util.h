@@ -2,13 +2,13 @@
  * @file
  * Shared helpers for the table/figure reproduction binaries.
  *
- * Every binary accepts --scale N (or REPRO_SCALE) and --pes N (or
- * REPRO_PES), refuses any other flag it does not read (exit 1), prints
- * the paper's reference numbers next to the measured ones, and exits
- * nonzero only on simulator errors — absolute-number mismatches with the
- * paper are expected (our substrate is a synthesized workload on a
- * simulator, not ICOT's emulator on a Sequent; see EXPERIMENTS.md for
- * the shape criteria).
+ * Every binary accepts --scale N (default 2) and --pes N (default 8),
+ * refuses any other flag and any number that does not parse whole
+ * (exit 1), prints the paper's reference numbers next to the measured
+ * ones, and exits nonzero only on simulator errors — absolute-number
+ * mismatches with the paper are expected (our substrate is a
+ * synthesized workload on a simulator, not ICOT's emulator on a
+ * Sequent; see EXPERIMENTS.md for the shape criteria).
  */
 
 #ifndef PIMCACHE_BENCH_BENCH_UTIL_H_
@@ -17,10 +17,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_kl1/programs.h"
@@ -39,37 +39,34 @@ struct BenchContext {
     std::uint32_t pes = 8;
 
     /**
-     * Parse argv. Exits 1 on a flag other than --scale, --pes and the
-     * binary's own @p extra flags: a mistyped or retired flag would
-     * otherwise run the default tables without a word.
+     * Parse argv: --scale, --pes and the binary's own @p extra flags.
+     * Exits 1 on anything Options::parse refuses: a mistyped or retired
+     * flag would otherwise run the default tables without a word.
      */
     static BenchContext
     parse(int argc, const char* const* argv,
-          std::initializer_list<const char*> extra = {})
+          std::initializer_list<Flag> extra = {})
     {
-        std::vector<const char*> known = {"scale", "pes"};
-        known.insert(known.end(), extra);
-        const std::string tool =
-            std::filesystem::path(argv[0]).filename().string();
-        if (!flagsAreKnown(tool.c_str(), argc, argv, known))
+        std::vector<Flag> flags = {{"scale", Flag::Int}, {"pes", Flag::Int}};
+        flags.insert(flags.end(), extra);
+        std::optional<Options> parsed = Options::parse(argc, argv, flags);
+        if (!parsed)
             std::exit(1);
         BenchContext ctx;
-        ctx.options = Options::parse(argc, argv);
-        ctx.scale = static_cast<std::uint32_t>(ctx.options.getIntEnv(
-            "scale", "REPRO_SCALE", defaultScale()));
-        ctx.pes = static_cast<std::uint32_t>(
-            ctx.options.getIntEnv("pes", "REPRO_PES", 8));
+        ctx.options = std::move(*parsed);
+        ctx.scale = static_cast<std::uint32_t>(
+            ctx.options.getInt("scale", ctx.scale));
+        ctx.pes =
+            static_cast<std::uint32_t>(ctx.options.getInt("pes", ctx.pes));
         return ctx;
     }
 };
 
 /**
- * Shared `main` body for the reproduction binaries: run @p body,
- * converting an escaped SimFault into a one-line structured error on
- * stderr (kind + message) and the exit code of its family
- * (simFaultExitCode: 10 config, 11 parse, 12 detection, 13 liveness,
- * 14 execution bound) — so scripts can triage failures without parsing
- * prose.
+ * Shared `main` body for the reproduction binaries: run @p body and
+ * turn an escaped SimFault into reportSimFault's one-line structured
+ * error and family exit code (10 config, 11 parse, 12 detection, 13
+ * liveness, 14 execution bound).
  */
 template <typename Body>
 int
@@ -78,10 +75,7 @@ runBenchMain(const char* name, Body&& body)
     try {
         return body();
     } catch (const SimFault& fault) {
-        std::fprintf(stderr, "%s: error: kind=%s exit=%d %s\n", name,
-                     simFaultKindName(fault.kind()),
-                     simFaultExitCode(fault.kind()), fault.what());
-        return simFaultExitCode(fault.kind());
+        return reportSimFault(name, fault);
     }
 }
 
@@ -90,8 +84,7 @@ inline void
 banner(const std::string& title, const BenchContext& ctx)
 {
     std::printf("== %s ==\n", title.c_str());
-    std::printf("workload scale %u, %u PEs (override with --scale/--pes "
-                "or REPRO_SCALE/REPRO_PES)\n\n",
+    std::printf("workload scale %u, %u PEs (override with --scale/--pes)\n\n",
                 ctx.scale, ctx.pes);
 }
 

@@ -9,17 +9,19 @@
  *
  * --clusters appends a beyond-the-paper scaling section (off by
  * default, so the default output stays golden-stable): one benchmark at
- * 128/256/512/1024 PEs, each run twice — on the paper's single snooping
- * bus and on the clustered topology (per-cluster buses, cross-cluster
- * traffic routed by the residency masks, docs/ARCHITECTURE.md) —
- * showing where the single bus saturates and how clustering moves the
- * knee.
+ * 128 PEs and each doubling up to --cluster-max-pes, each run twice —
+ * on the paper's single snooping bus and on the clustered topology
+ * (per-cluster buses, cross-cluster traffic routed by the residency
+ * masks, docs/ARCHITECTURE.md) — showing where the single bus saturates
+ * and how clustering moves the knee.
  *
  *   --clusters            enable the wide-PE section
  *   --cluster-size=N      PEs per snooping-bus cluster (default 16)
  *   --hop-cycles=N        one-way inter-cluster hop cost (default 4)
  *   --cluster-bench=NAME  benchmark to scale (default Tri)
- *   --cluster-max-pes=N   largest PE count (default 1024)
+ *   --cluster-max-pes=N   largest PE count (default 128, which ends in
+ *                         seconds; a 256-PE run has taken over 17
+ *                         minutes)
  */
 
 #include "bench_util.h"
@@ -43,7 +45,7 @@ runClusterSection(const BenchContext& ctx)
     const std::uint32_t hop_cycles = static_cast<std::uint32_t>(
         ctx.options.getInt("hop-cycles", 4));
     const std::uint32_t max_pes = static_cast<std::uint32_t>(
-        ctx.options.getInt("cluster-max-pes", 1024));
+        ctx.options.getInt("cluster-max-pes", 128));
 
     Table table("measured: single bus vs clustered topology (" +
                 bench_name + ", " + std::to_string(cluster_size) +
@@ -92,8 +94,10 @@ int
 run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(
-        argc, argv, {"clusters", "cluster-size", "hop-cycles",
-                     "cluster-max-pes", "cluster-bench"});
+        argc, argv,
+        {{"clusters", Flag::Bool}, {"cluster-size", Flag::Int},
+         {"hop-cycles", Flag::Int}, {"cluster-max-pes", Flag::Int},
+         {"cluster-bench", Flag::String}});
     banner("Figure 3: Number of PEs vs Bus Traffic", ctx);
 
     const std::uint32_t pe_counts[] = {1, 2, 4, 6, 8};
@@ -163,7 +167,7 @@ run(int argc, const char* const* argv)
         "\narea's share of bus cycles rises sharply from 1 to 8 PEs while"
         "\nthe heap's share falls (paper: comm 0->29%%, heap 71->45%%).\n");
 
-    if (ctx.options.getBool("clusters"))
+    if (ctx.options.has("clusters"))
         runClusterSection(ctx);
     return 0;
 }

@@ -113,14 +113,16 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
 int
 main(int argc, char** argv)
 {
-    const Options opts = Options::parse(argc, argv);
-    if (opts.getBool("help") || opts.positional().empty()) {
+    const Flag flags[] = {{"schema", Flag::String},
+                          {"require", Flag::String},
+                          {"help", Flag::Bool}};
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed || parsed->has("help") || parsed->positional().empty()) {
         usage();
-        return opts.getBool("help") ? 0 : 1;
+        return parsed && parsed->has("help") ? 0 : 1;
     }
+    const Options& opts = *parsed;
 
-    // Collect every --require (the shared parser keeps only the last
-    // value per name, so scan argv directly for repeats).
     std::vector<std::string> required;
     if (opts.has("schema")) {
         const std::string schema = opts.getString("schema");
@@ -132,12 +134,8 @@ main(int argc, char** argv)
             return 1;
         }
     }
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const std::string prefix = "--require=";
-        if (arg.rfind(prefix, 0) == 0)
-            required.push_back(arg.substr(prefix.size()));
-    }
+    for (const std::string& path : opts.getAll("require"))
+        required.push_back(path);
 
     int failures = 0;
     for (const std::string& path : opts.positional()) {

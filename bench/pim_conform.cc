@@ -96,7 +96,7 @@ printDivergence(const std::string& message,
 int
 verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
 {
-    const bool expect = opt.getBool("expect-divergence");
+    const bool expect = opt.has("expect-divergence");
     if (expect && !diverged) {
         std::printf("FAIL: expected a divergence, found none\n");
         return 1;
@@ -117,12 +117,19 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
     return 0;
 }
 
-const char* const kKnownFlags[] = {
-    "pes", "blocks", "block-words", "ways", "sets", "lock-entries",
-    "cluster-size", "hop-cycles", "mutate", "protocol", "replacement",
-    "replay", "fuzz", "seed", "traces", "len", "no-shrink",
-    "depth", "max-states", "expect-divergence", "max-shrunk",
-    "list-mutations", "list-protocols",
+const Flag kFlags[] = {
+    {"pes", Flag::Int},                 {"blocks", Flag::Int},
+    {"block-words", Flag::Int},         {"ways", Flag::Int},
+    {"sets", Flag::Int},                {"lock-entries", Flag::Int},
+    {"cluster-size", Flag::Int},        {"hop-cycles", Flag::Int},
+    {"mutate", Flag::String},           {"protocol", Flag::String},
+    {"replacement", Flag::String},      {"replay", Flag::String},
+    {"fuzz", Flag::Bool},               {"seed", Flag::Int},
+    {"traces", Flag::Int},              {"len", Flag::Int},
+    {"no-shrink", Flag::Bool},          {"depth", Flag::Int},
+    {"max-states", Flag::Int},          {"expect-divergence", Flag::Bool},
+    {"max-shrunk", Flag::Int},          {"list-mutations", Flag::Bool},
+    {"list-protocols", Flag::Bool},
 };
 
 } // namespace
@@ -130,11 +137,12 @@ const char* const kKnownFlags[] = {
 int
 main(int argc, char** argv)
 {
-    const Options opt = Options::parse(argc, argv);
-    if (!flagsAreKnown("pim_conform", argc, argv, kKnownFlags))
+    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
+    if (!parsed)
         return 2;
+    const Options& opt = *parsed;
 
-    if (opt.getBool("list-mutations")) {
+    if (opt.has("list-mutations")) {
         for (int i = 1; i < kNumProtocolMutations; ++i) {
             std::printf("%s\n", protocolMutationName(
                                     static_cast<ProtocolMutation>(i)));
@@ -142,7 +150,7 @@ main(int argc, char** argv)
         return 0;
     }
 
-    if (opt.getBool("list-protocols")) {
+    if (opt.has("list-protocols")) {
         for (int i = 0; i < kNumProtocolKinds; ++i) {
             std::printf("%s\n",
                         protocolKindName(static_cast<ProtocolKind>(i)));
@@ -177,14 +185,14 @@ main(int argc, char** argv)
             return verdict(opt, diverged, trace.size());
         }
 
-        if (opt.getBool("fuzz")) {
+        if (opt.has("fuzz")) {
             FuzzConfig config;
             config.harness = harness;
             config.seed = static_cast<std::uint64_t>(opt.getInt("seed", 1));
             config.traces =
                 static_cast<std::uint32_t>(opt.getInt("traces", 20));
             config.len = static_cast<std::uint32_t>(opt.getInt("len", 200));
-            config.shrink = !opt.getBool("no-shrink");
+            config.shrink = !opt.has("no-shrink");
             const FuzzResult result = fuzz(config);
             std::printf("fuzz: %llu traces, %llu commands, protocol=%s, "
                         "mutation=%s\n",
@@ -224,9 +232,6 @@ main(int argc, char** argv)
         return verdict(opt, result.divergence,
                        result.divergenceTrace.size());
     } catch (const SimFault& fault) {
-        std::fprintf(stderr, "pim_conform: error: kind=%s exit=%d %s\n",
-                     simFaultKindName(fault.kind()),
-                     simFaultExitCode(fault.kind()), fault.what());
-        return simFaultExitCode(fault.kind());
+        return reportSimFault("pim_conform", fault);
     }
 }

@@ -142,9 +142,12 @@ usage()
         "  --list              print the plan grid and exit\n");
 }
 
-const char* const kKnownFlags[] = {
-    "smoke", "seeds", "steps", "pes", "seed", "jobs", "timeout", "out",
-    "list", "help",
+const Flag kFlags[] = {
+    {"smoke", Flag::Bool},      {"seeds", Flag::Count},
+    {"steps", Flag::Int},       {"pes", Flag::Int},
+    {"seed", Flag::Int},        {"jobs", Flag::Count},
+    {"timeout", Flag::Double},  {"out", Flag::String},
+    {"list", Flag::Bool},       {"help", Flag::Bool},
 };
 
 std::string
@@ -205,19 +208,19 @@ renderCampaignJson(const std::string& name, std::uint64_t seeds,
 int
 main(int argc, char** argv)
 {
-    const Options opts = Options::parse(argc, argv);
-    if (opts.getBool("help")) {
-        usage();
-        return 0;
-    }
-    if (!flagsAreKnown("pim_soak", argc, argv, kKnownFlags) ||
-        !countsAreNonNegative("pim_soak", opts, {"jobs", "seeds"})) {
+    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
+    if (!parsed) {
         usage();
         return 1;
     }
+    const Options& opts = *parsed;
+    if (opts.has("help")) {
+        usage();
+        return 0;
+    }
 
     try {
-        const bool smoke = opts.getBool("smoke");
+        const bool smoke = opts.has("smoke");
         const SoakPlan* plans = smoke ? kSmokePlans : kFullPlans;
         const std::size_t num_plans =
             smoke ? std::size(kSmokePlans) : std::size(kFullPlans);
@@ -228,7 +231,7 @@ main(int argc, char** argv)
         const auto pes =
             static_cast<std::uint32_t>(opts.getInt("pes", 4));
 
-        if (opts.getBool("list")) {
+        if (opts.has("list")) {
             for (std::size_t p = 0; p < num_plans; ++p) {
                 std::printf("%-16s %-12s %s\n", plans[p].name,
                             plans[p].mustDetect ? "must-detect"
@@ -343,10 +346,7 @@ main(int argc, char** argv)
         std::printf("zero escapes: every must-detect injection was "
                     "caught\n");
     } catch (const SimFault& fault) {
-        std::fprintf(stderr, "pim_soak: error: kind=%s exit=%d %s\n",
-                     simFaultKindName(fault.kind()),
-                     simFaultExitCode(fault.kind()), fault.what());
-        return simFaultExitCode(fault.kind());
+        return reportSimFault("pim_soak", fault);
     }
     return 0;
 }

@@ -65,13 +65,17 @@ usage()
         "                      stress run is a pure function of its flags\n");
 }
 
-const char* const kKnownFlags[] = {
-    "seed",       "pes",        "geometry",  "steps",
-    "span",       "write-pct",  "lock-pct",  "opt-pct",
-    "plan",       "trace-out",  "timeline-out", "attribution-out",
-    "expect-fault",
-    "replay",     "help",       "starvation-bound", "livelock-retries",
-    "timeout",    "cluster-size", "hop-cycles",
+const Flag kFlags[] = {
+    {"seed", Flag::Int},              {"pes", Flag::Int},
+    {"geometry", Flag::String},       {"steps", Flag::Int},
+    {"span", Flag::Int},              {"write-pct", Flag::Int},
+    {"lock-pct", Flag::Int},          {"opt-pct", Flag::Int},
+    {"plan", Flag::String},           {"trace-out", Flag::String},
+    {"timeline-out", Flag::String},   {"attribution-out", Flag::String},
+    {"expect-fault", Flag::Bool},     {"replay", Flag::Bool},
+    {"help", Flag::Bool},             {"starvation-bound", Flag::Int},
+    {"livelock-retries", Flag::Int},  {"timeout", Flag::Double},
+    {"cluster-size", Flag::Int},      {"hop-cycles", Flag::Int},
 };
 
 } // namespace
@@ -79,14 +83,15 @@ const char* const kKnownFlags[] = {
 int
 main(int argc, char** argv)
 {
-    const Options opts = Options::parse(argc, argv);
-    if (opts.getBool("help")) {
-        usage();
-        return 0;
-    }
-    if (!flagsAreKnown("pim_stress", argc, argv, kKnownFlags)) {
+    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
+    if (!parsed) {
         usage();
         return 1;
+    }
+    const Options& opts = *parsed;
+    if (opts.has("help")) {
+        usage();
+        return 0;
     }
 
     StressConfig config;
@@ -123,12 +128,8 @@ main(int argc, char** argv)
         result = runStress(config);
     } catch (const SimFault& fault) {
         // Detected faults inside runStress are result rows, not throws;
-        // anything escaping to here is a usage/config problem, reported
-        // one-line structured with its family exit code.
-        std::fprintf(stderr, "pim_stress: error: kind=%s exit=%d %s\n",
-                     simFaultKindName(fault.kind()),
-                     simFaultExitCode(fault.kind()), fault.what());
-        return simFaultExitCode(fault.kind());
+        // anything escaping to here is a usage/config problem.
+        return reportSimFault("pim_stress", fault);
     }
 
     if (result.failed) {
@@ -163,7 +164,7 @@ main(int argc, char** argv)
     if (!result.injectorSummary.empty())
         std::printf("faults injected: %s\n", result.injectorSummary.c_str());
 
-    const bool expect_fault = opts.getBool("expect-fault");
+    const bool expect_fault = opts.has("expect-fault");
     if (result.failed == expect_fault)
         return 0;
     return 2;

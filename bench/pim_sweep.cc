@@ -57,9 +57,12 @@ usage()
         "                      (default: 0 = run everything)\n");
 }
 
-const char* const kKnownFlags[] = {
-    "spec", "jobs", "out", "scale", "list", "timeout",
-    "resume", "max-tasks", "help",
+const Flag kFlags[] = {
+    {"spec", Flag::String},    {"jobs", Flag::Count},
+    {"out", Flag::String},     {"scale", Flag::Int},
+    {"list", Flag::Bool},      {"timeout", Flag::Double},
+    {"resume", Flag::Bool},    {"max-tasks", Flag::Int},
+    {"help", Flag::Bool},
 };
 
 SweepSpec
@@ -79,15 +82,15 @@ loadSpec(const std::string& spec_arg)
 int
 main(int argc, char** argv)
 {
-    const Options opts = Options::parse(argc, argv);
-    if (opts.getBool("help")) {
-        usage();
-        return 0;
-    }
-    if (!flagsAreKnown("pim_sweep", argc, argv, kKnownFlags) ||
-        !countsAreNonNegative("pim_sweep", opts, {"jobs"})) {
+    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
+    if (!parsed) {
         usage();
         return 1;
+    }
+    const Options& opts = *parsed;
+    if (opts.has("help")) {
+        usage();
+        return 0;
     }
 
     try {
@@ -99,7 +102,7 @@ main(int argc, char** argv)
         options.scale =
             static_cast<std::uint32_t>(opts.getInt("scale", 0));
         options.timeoutSeconds = opts.getDouble("timeout", 0);
-        options.resume = opts.getBool("resume");
+        options.resume = opts.has("resume");
         options.maxTasks =
             static_cast<std::size_t>(opts.getInt("max-tasks", 0));
         if (options.resume && options.outDir.empty()) {
@@ -109,7 +112,7 @@ main(int argc, char** argv)
             return 1;
         }
 
-        if (opts.getBool("list")) {
+        if (opts.has("list")) {
             std::size_t index = 0;
             for (const SweepExperiment& experiment : spec.experiments) {
                 for (const SweepPoint& point : experiment.expand()) {
@@ -122,6 +125,7 @@ main(int argc, char** argv)
             return 0;
         }
 
+        checkSpec(spec);
         std::printf("== sweep %s: %zu tasks on up to %u workers ==\n",
                     spec.name.c_str(), spec.totalTasks(),
                     parallelForThreads(spec.totalTasks(), options.jobs));
@@ -177,10 +181,7 @@ main(int argc, char** argv)
             }
         }
     } catch (const SimFault& fault) {
-        std::fprintf(stderr, "pim_sweep: error: kind=%s exit=%d %s\n",
-                     simFaultKindName(fault.kind()),
-                     simFaultExitCode(fault.kind()), fault.what());
-        return simFaultExitCode(fault.kind());
+        return reportSimFault("pim_sweep", fault);
     }
     return 0;
 }

@@ -27,7 +27,16 @@ main(int argc, char** argv)
 {
     using namespace pim;
 
-    const Options opts = Options::parse(argc, argv);
+    const Flag flags[] = {
+        {"pes", Flag::Int},          {"block", Flag::Int},
+        {"ways", Flag::Int},         {"capacity", Flag::Int},
+        {"pattern", Flag::String},   {"trace-in", Flag::String},
+        {"n", Flag::Int},            {"illinois", Flag::Bool},
+    };
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed)
+        return 1;
+    const Options& opts = *parsed;
     std::uint32_t pes = static_cast<std::uint32_t>(opts.getInt("pes", 4));
     const std::uint32_t block =
         static_cast<std::uint32_t>(opts.getInt("block", 4));
@@ -78,7 +87,7 @@ main(int argc, char** argv)
     config.numPes = pes;
     config.cache.geometry =
         CacheGeometry::forCapacity(capacity, block, ways);
-    const bool illinois = opts.getBool("illinois");
+    const bool illinois = opts.has("illinois");
     if (illinois)
         config.cache.protocol = ProtocolKind::MESI;
     // Size the backing store to cover every address in the trace.

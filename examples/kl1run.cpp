@@ -42,7 +42,18 @@ main(int argc, char** argv)
     using namespace pim;
     using namespace pim::kl1;
 
-    const Options opts = Options::parse(argc, argv);
+    const Flag flags[] = {
+        {"pes", Flag::Int},       {"policy", Flag::String},
+        {"block", Flag::Int},     {"ways", Flag::Int},
+        {"capacity", Flag::Int},  {"illinois", Flag::Bool},
+        {"gc", Flag::Bool},       {"heap", Flag::Int},
+        {"stats", Flag::Bool},    {"report", Flag::Bool},
+        {"disasm", Flag::Bool},   {"trace", Flag::String},
+    };
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed)
+        return 1;
+    const Options& opts = *parsed;
     if (opts.positional().size() < 1) {
         std::fprintf(stderr,
                      "usage: kl1run program.fghc [\"query(Args, R).\"] "
@@ -66,7 +77,7 @@ main(int argc, char** argv)
         std::fprintf(stderr, "kl1run: %s\n", fault.what());
         return 1;
     }
-    if (opts.getBool("disasm")) {
+    if (opts.has("disasm")) {
         std::fputs(module.disassembleAll().c_str(), stdout);
         return 0;
     }
@@ -95,9 +106,9 @@ main(int argc, char** argv)
         opts.getInt("capacity", 4096),
         static_cast<std::uint32_t>(opts.getInt("block", 4)),
         static_cast<std::uint32_t>(opts.getInt("ways", 4)));
-    if (opts.getBool("illinois"))
+    if (opts.has("illinois"))
         config.cache.protocol = ProtocolKind::MESI;
-    config.enableGc = opts.getBool("gc");
+    config.enableGc = opts.has("gc");
     config.layout.heapWordsPerPe =
         static_cast<std::uint64_t>(opts.getInt("heap", 1 << 22));
 
@@ -145,9 +156,9 @@ main(int argc, char** argv)
         writer->close();
     }
 
-    if (opts.getBool("report"))
+    if (opts.has("report"))
         std::fputs(reportAll(emu.system()).c_str(), stdout);
-    if (opts.getBool("stats")) {
+    if (opts.has("stats")) {
         const BusStats& bus = emu.system().bus().stats();
         const CacheStats cache = emu.system().totalCacheStats();
         const RefStats& refs = emu.system().refStats();

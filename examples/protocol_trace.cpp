@@ -134,16 +134,17 @@ runHandoff(bool optimized, const Options& opts)
 int
 main(int argc, char** argv)
 {
-    static const char* const kKnownFlags[] = {"timeline-out",
-                                              "attribution-out"};
-    if (!pim::flagsAreKnown("protocol_trace", argc, argv, kKnownFlags))
+    const pim::Flag flags[] = {{"timeline-out", pim::Flag::String},
+                               {"attribution-out", pim::Flag::String}};
+    const std::optional<pim::Options> opts =
+        pim::Options::parse(argc, argv, flags);
+    if (!opts)
         return 1;
-    const pim::Options opts = pim::Options::parse(argc, argv);
     std::printf("The write-once/read-once goal handoff of paper "
                 "Section 2.3,\nwith and without the Section 3.2 "
                 "commands.\n");
-    runHandoff(true, opts);
-    runHandoff(false, opts);
+    runHandoff(true, *opts);
+    runHandoff(false, *opts);
     std::printf("\nThe optimized handoff moves each block exactly once"
                 "\n(cache-to-cache) and leaves no residue to swap in or"
                 "\nout — the 'meaningless swap-in and swap-out' the"

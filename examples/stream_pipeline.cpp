@@ -51,7 +51,11 @@ main(int argc, char** argv)
     using namespace pim;
     using namespace pim::kl1;
 
-    const Options opts = Options::parse(argc, argv);
+    const Flag flags[] = {{"limit", Flag::Int}, {"pes", Flag::Int}};
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed)
+        return 1;
+    const Options& opts = *parsed;
     const std::int64_t limit = opts.getInt("limit", 400);
     const std::uint32_t pes =
         static_cast<std::uint32_t>(opts.getInt("pes", 4));

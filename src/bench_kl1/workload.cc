@@ -1,6 +1,5 @@
 #include "bench_kl1/workload.h"
 
-#include "common/options.h"
 #include "common/xassert.h"
 #include "kl1/compiler.h"
 #include "kl1/parser.h"
@@ -52,20 +51,6 @@ runBenchmark(const BenchProgram& bench, std::uint32_t scale,
     result.bus = emu.system().bus().stats();
     result.cache = emu.system().totalCacheStats();
     return result;
-}
-
-std::uint32_t
-defaultScale()
-{
-    return static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, envInt("REPRO_SCALE", 2)));
-}
-
-std::uint32_t
-defaultPes()
-{
-    return static_cast<std::uint32_t>(
-        std::max<std::int64_t>(1, envInt("REPRO_PES", 8)));
 }
 
 } // namespace pim::kl1::bench

@@ -41,12 +41,6 @@ Kl1Config paperConfig(std::uint32_t num_pes = 8,
 BenchResult runBenchmark(const BenchProgram& bench, std::uint32_t scale,
                          const Kl1Config& config);
 
-/** Scale taken from --scale or the REPRO_SCALE environment variable. */
-std::uint32_t defaultScale();
-
-/** PE count from --pes or the REPRO_PES environment variable. */
-std::uint32_t defaultPes();
-
 } // namespace pim::kl1::bench
 
 #endif // PIMCACHE_BENCH_KL1_WORKLOAD_H_

@@ -1,32 +1,78 @@
 #include "common/options.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "common/strutil.h"
-#include "common/xassert.h"
 
 namespace pim {
 
-Options
-Options::parse(int argc, const char* const* argv)
+namespace {
+
+/**
+ * What a @p type flag's value must be, when @p value is not one; nullptr
+ * when it is.
+ */
+const char*
+valueRule(Flag::Type type, const std::string& value)
 {
+    if (type == Flag::Bool || type == Flag::String)
+        return nullptr;
+    char* end = nullptr;
+    if (type == Flag::Double) {
+        std::strtod(value.c_str(), &end);
+        return !value.empty() && *end == '\0' ? nullptr : "a number";
+    }
+    const bool negative = std::strtoll(value.c_str(), &end, 0) < 0;
+    if (value.empty() || *end != '\0')
+        return "an integer";
+    return type == Flag::Count && negative ? "a whole number >= 0" : nullptr;
+}
+
+} // namespace
+
+std::optional<Options>
+Options::parse(int argc, const char* const* argv,
+               std::span<const Flag> flags)
+{
+    const std::string program =
+        std::filesystem::path(argv[0]).filename().string();
+    const auto refuse = [&](const std::string& reason) {
+        std::fprintf(stderr, "%s: %s\n", program.c_str(), reason.c_str());
+        return std::nullopt;
+    };
+
     Options opts;
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+        const std::string arg = argv[i];
         if (!startsWith(arg, "--")) {
             opts.positional_.push_back(arg);
             continue;
         }
-        arg = arg.substr(2);
         const std::size_t eq = arg.find('=');
+        const std::string name =
+            eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
+        const auto flag =
+            std::find_if(flags.begin(), flags.end(),
+                         [&](const Flag& f) { return name == f.name; });
+        if (flag == flags.end())
+            return refuse("unknown option --" + name);
+
+        std::string value;
         if (eq != std::string::npos) {
-            opts.values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && !startsWith(argv[i + 1], "--")) {
-            opts.values_[arg] = argv[++i];
-        } else {
-            opts.values_[arg] = "";
+            if (flag->type == Flag::Bool)
+                return refuse("--" + name + " takes no value");
+            value = arg.substr(eq + 1);
+        } else if (flag->type != Flag::Bool) {
+            if (i + 1 == argc || startsWith(argv[i + 1], "--"))
+                return refuse("--" + name + " needs a value");
+            value = argv[++i];
         }
+        if (const char* rule = valueRule(flag->type, value))
+            return refuse("--" + name + ": '" + value + "' is not " + rule);
+        opts.values_[name].push_back(value);
     }
     return opts;
 }
@@ -41,92 +87,28 @@ std::string
 Options::getString(const std::string& name, const std::string& fallback) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? fallback : it->second;
+    return it == values_.end() ? fallback : it->second.back();
+}
+
+std::vector<std::string>
+Options::getAll(const std::string& name) const
+{
+    auto it = values_.find(name);
+    return it == values_.end() ? std::vector<std::string>{} : it->second;
 }
 
 std::int64_t
 Options::getInt(const std::string& name, std::int64_t fallback) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty())
-        return fallback;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    return has(name) ? std::strtoll(getString(name).c_str(), nullptr, 0)
+                     : fallback;
 }
 
 double
 Options::getDouble(const std::string& name, double fallback) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end() || it->second.empty())
-        return fallback;
-    return std::strtod(it->second.c_str(), nullptr);
-}
-
-bool
-Options::getBool(const std::string& name, bool fallback) const
-{
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return fallback;
-    const std::string& v = it->second;
-    return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
-}
-
-void
-Options::set(const std::string& name, const std::string& value)
-{
-    values_[name] = value;
-}
-
-std::int64_t
-Options::getIntEnv(const std::string& name, const char* env_name,
-                   std::int64_t fallback) const
-{
-    if (has(name))
-        return getInt(name, fallback);
-    return envInt(env_name, fallback);
-}
-
-std::string
-Options::getStringEnv(const std::string& name, const char* env_name,
-                      const std::string& fallback) const
-{
-    if (has(name))
-        return getString(name, fallback);
-    const char* value = std::getenv(env_name);
-    if (value == nullptr || value[0] == '\0')
-        return fallback;
-    return value;
-}
-
-std::int64_t
-envInt(const char* name, std::int64_t fallback)
-{
-    const char* value = std::getenv(name);
-    if (value == nullptr || value[0] == '\0')
-        return fallback;
-    return std::strtoll(value, nullptr, 0);
-}
-
-bool
-flagsAreKnown(const char* tool, int argc, const char* const* argv,
-              std::span<const char* const> known)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (!startsWith(argv[i], "--"))
-            continue;
-        std::string name(argv[i] + 2);
-        name = name.substr(0, name.find('='));
-        bool found = false;
-        for (const char* flag : known)
-            found = found || name == flag;
-        if (!found) {
-            std::fprintf(stderr, "%s: unknown option --%s\n", tool,
-                         name.c_str());
-            return false;
-        }
-    }
-    return true;
+    return has(name) ? std::strtod(getString(name).c_str(), nullptr)
+                     : fallback;
 }
 
 } // namespace pim

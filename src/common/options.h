@@ -1,45 +1,62 @@
 /**
  * @file
- * Tiny command-line / environment option parser for benches, tools and
- * examples.
- *
- * Supports "--name value", "--name=value" and boolean "--name" flags, plus
- * environment-variable fallbacks so the whole bench directory can be
- * steered with REPRO_SCALE / REPRO_PES without editing command lines.
+ * The command-line parser of every bench, tool and example. Each binary
+ * declares the flags it reads and how their values are read; parse()
+ * refuses anything else before the binary does any work, so a run is
+ * always exactly the run its command line names.
  */
 
 #ifndef PIMCACHE_COMMON_OPTIONS_H_
 #define PIMCACHE_COMMON_OPTIONS_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <initializer_list>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace pim {
 
+/** One flag a binary reads, and the values it accepts. */
+struct Flag {
+    enum Type : std::uint8_t {
+        Bool,   ///< "--name" alone: takes no value, never the next argument.
+        Int,    ///< A whole integer: decimal, 0x hex or 0-led octal.
+        Count,  ///< An Int >= 0: cast to an unsigned worker or seed count,
+                ///< -1 would ask for 2^32-1 of them.
+        Double, ///< A whole floating-point number.
+        String, ///< Any text.
+    };
+    const char* name;
+    Type type;
+};
+
 /** Parsed command-line options with typed accessors. */
 class Options
 {
   public:
-    Options() = default;
-
     /**
-     * Parse argv. Unknown options are accepted (benches share a parser;
-     * tools that must reject them call flagsAreKnown); positional
-     * arguments are collected in order.
+     * Parse argv against @p flags, every flag the binary reads. A valued
+     * flag is "--name value" or "--name=value", a Bool flag "--name";
+     * every argument not starting with "--" is positional. Returns
+     * nullopt, after printing "<program>: <reason>" to stderr, on an
+     * unknown flag, a Bool flag given a value, a valued flag given none,
+     * a number that does not parse whole, or a negative Count: each
+     * would otherwise run something other than the run asked for.
      */
-    static Options parse(int argc, const char* const* argv);
+    static std::optional<Options> parse(int argc, const char* const* argv,
+                                        std::span<const Flag> flags);
 
-    /** True if --name was present. */
+    /** True if --name was given. */
     bool has(const std::string& name) const;
 
-    /** String value of --name, or @p fallback. */
+    /** Last value given for --name, or @p fallback. */
     std::string getString(const std::string& name,
                           const std::string& fallback = "") const;
+
+    /** Every value given for --name, in order. */
+    std::vector<std::string> getAll(const std::string& name) const;
 
     /** Integer value of --name, or @p fallback. */
     std::int64_t getInt(const std::string& name, std::int64_t fallback) const;
@@ -47,64 +64,13 @@ class Options
     /** Double value of --name, or @p fallback. */
     double getDouble(const std::string& name, double fallback) const;
 
-    /** Boolean flag: present without value, or value in {1,true,yes,on}. */
-    bool getBool(const std::string& name, bool fallback = false) const;
-
     /** Positional (non-option) arguments, in order. */
     const std::vector<std::string>& positional() const { return positional_; }
 
-    /** Inject or override an option programmatically. */
-    void set(const std::string& name, const std::string& value);
-
-    /**
-     * Environment fallback: value of --name if present, else env var
-     * @p env_name, else @p fallback.
-     */
-    std::int64_t getIntEnv(const std::string& name, const char* env_name,
-                           std::int64_t fallback) const;
-
-    /**
-     * Environment fallback: value of --name if present, else env var
-     * @p env_name, else @p fallback.
-     */
-    std::string getStringEnv(const std::string& name, const char* env_name,
-                             const std::string& fallback = "") const;
-
   private:
-    std::map<std::string, std::string> values_;
+    std::map<std::string, std::vector<std::string>> values_;
     std::vector<std::string> positional_;
 };
-
-/** Read an integer environment variable, or @p fallback. */
-std::int64_t envInt(const char* name, std::int64_t fallback);
-
-/**
- * True when every "--name" argument in @p argv is one of @p known.
- * Otherwise prints "<tool>: unknown option --name" to stderr and
- * returns false: a mistyped or retired flag would silently run with a
- * default, i.e. a different run than the one asked for.
- */
-bool flagsAreKnown(const char* tool, int argc, const char* const* argv,
-                   std::span<const char* const> known);
-
-/**
- * True when none of the count flags @p counts (worker or seed counts)
- * holds a negative value. Otherwise prints "<tool>: --name must be >= 0"
- * to stderr and returns false: cast to the unsigned count the tool
- * keeps, -1 would ask for 2^32-1 threads or seeds.
- */
-inline bool
-countsAreNonNegative(const char* tool, const Options& opts,
-                     std::initializer_list<const char*> counts)
-{
-    for (const char* name : counts) {
-        if (opts.getInt(name, 0) < 0) {
-            std::fprintf(stderr, "%s: --%s must be >= 0\n", tool, name);
-            return false;
-        }
-    }
-    return true;
-}
 
 } // namespace pim
 

@@ -14,6 +14,7 @@
 #ifndef PIMCACHE_COMMON_SIM_FAULT_H_
 #define PIMCACHE_COMMON_SIM_FAULT_H_
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -100,6 +101,21 @@ class SimFault : public std::runtime_error
     SimFaultKind kind_;
     std::string message_;
 };
+
+/**
+ * Report @p fault, caught at @p tool's main(), as one structured line on
+ * stderr ("<tool>: error: kind=<kind> exit=<code> <message>") and return
+ * its family exit code, so scripts can triage a failure without parsing
+ * prose.
+ */
+inline int
+reportSimFault(const char* tool, const SimFault& fault)
+{
+    std::fprintf(stderr, "%s: error: kind=%s exit=%d %s\n", tool,
+                 simFaultKindName(fault.kind()),
+                 simFaultExitCode(fault.kind()), fault.what());
+    return simFaultExitCode(fault.kind());
+}
 
 } // namespace pim
 

@@ -219,10 +219,8 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
 }
 
 /**
- * Refuse a point its task would misread: a parameter name the task kind
- * never reads (it would silently run at the default), or a KL1 point
- * with a missing or unknown benchmark (benchmarkByName would end the
- * process from a worker).
+ * checkSpec for one point of @p experiment. An unknown benchmark must
+ * be refused here: benchmarkByName would end the process from a worker.
  */
 void
 checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
@@ -527,6 +525,15 @@ loadCheckpoint(const std::string& path, const std::string& hash,
 
 } // namespace
 
+void
+checkSpec(const SweepSpec& spec)
+{
+    for (const SweepExperiment& experiment : spec.experiments) {
+        for (const SweepPoint& point : experiment.expand())
+            checkPoint(point, experiment);
+    }
+}
+
 std::string
 sweepConfigHash(const SweepSpec& spec, const SweepOptions& options)
 {
@@ -549,6 +556,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
 {
     using Clock = std::chrono::steady_clock;
 
+    checkSpec(spec);
     SweepOutcome outcome;
 
     // Expand the grid up front: rows[i] is task i's pre-assigned slot,
@@ -556,7 +564,6 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
         const SweepExperiment& experiment = spec.experiments[e];
         for (SweepPoint& point : experiment.expand()) {
-            checkPoint(point, experiment);
             SweepRow row;
             row.taskIndex = outcome.rows.size();
             row.experiment = e;

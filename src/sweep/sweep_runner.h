@@ -86,12 +86,20 @@ struct SweepOutcome {
 };
 
 /**
+ * Refuse a spec whose points its tasks would misread: a parameter the
+ * task kind never reads (it would silently run at the default), or a
+ * kl1 point with a missing or unknown benchmark.
+ *
+ * @throws SimFault(Config) naming the experiment and the parameter.
+ */
+void checkSpec(const SweepSpec& spec);
+
+/**
  * Expand @p spec and run every pending task once on @p options.jobs
  * workers (at most one per pending task).
  *
- * @throws SimFault(Config) before any task runs when a point names a
- *         parameter its task kind never reads or an unknown benchmark,
- *         or when a --resume checkpoint belongs to another grid.
+ * @throws SimFault(Config) before any task runs when checkSpec refuses
+ *         @p spec, or when a --resume checkpoint belongs to another grid.
  */
 SweepOutcome runSweep(const SweepSpec& spec, const SweepOptions& options);
 

@@ -45,22 +45,6 @@ ParamValue::toString() const
     return os.str();
 }
 
-std::uint64_t
-ParamValue::asU64() const
-{
-    if (!isNumber || number < 0 || number != std::floor(number)) {
-        throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep parameter '",
-                            toString(), "' is not a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(number);
-}
-
-std::uint32_t
-ParamValue::asU32() const
-{
-    return static_cast<std::uint32_t>(asU64());
-}
-
 // -------------------------------------------------------------- SweepPoint
 
 const ParamValue*

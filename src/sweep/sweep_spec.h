@@ -38,9 +38,6 @@ struct ParamValue {
 
     /** Canonical rendering ("4", "2.5", "Tri") used in rows and keys. */
     std::string toString() const;
-
-    std::uint64_t asU64() const;
-    std::uint32_t asU32() const;
 };
 
 /** An ordered parameter assignment (one grid point, or a base set). */

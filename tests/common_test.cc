@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/options.h"
 #include "common/rng.h"
@@ -112,50 +115,108 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
+const Flag kTestFlags[] = {
+    {"pes", Flag::Int},      {"scale", Flag::Int},
+    {"verbose", Flag::Bool}, {"quiet", Flag::Bool},
+    {"smoke", Flag::Bool},   {"timeout", Flag::Double},
+    {"out", Flag::String},   {"require", Flag::String},
+    {"seeds", Flag::Count},
+};
+
+/** Parse all of @p argv against kTestFlags. */
+template <std::size_t N>
+std::optional<Options>
+parseTest(const char* const (&argv)[N])
+{
+    return Options::parse(static_cast<int>(N), argv, kTestFlags);
+}
+
 TEST(Options, ParseForms)
 {
-    // Note: "--flag value" is greedy, so positional arguments go before
-    // trailing boolean flags (or use --flag=value).
-    const char* argv[] = {"prog", "--pes", "8", "--scale=2",
-                          "input.fghc", "--verbose"};
-    const Options opts = Options::parse(6, argv);
-    EXPECT_EQ(opts.getInt("pes", 0), 8);
-    EXPECT_EQ(opts.getInt("scale", 0), 2);
-    EXPECT_TRUE(opts.getBool("verbose"));
-    EXPECT_FALSE(opts.getBool("quiet"));
-    ASSERT_EQ(opts.positional().size(), 1u);
-    EXPECT_EQ(opts.positional()[0], "input.fghc");
+    const char* const argv[] = {"prog", "--pes", "8", "--scale=2",
+                                "input.fghc", "--verbose"};
+    const std::optional<Options> opts = parseTest(argv);
+    ASSERT_TRUE(opts.has_value());
+    EXPECT_EQ(opts->getInt("pes", 0), 8);
+    EXPECT_EQ(opts->getInt("scale", 0), 2);
+    EXPECT_TRUE(opts->has("verbose"));
+    EXPECT_FALSE(opts->has("quiet"));
+    ASSERT_EQ(opts->positional().size(), 1u);
+    EXPECT_EQ(opts->positional()[0], "input.fghc");
+}
+
+TEST(Options, BoolFlagLeavesNextPositional)
+{
+    const char* const argv[] = {"prog", "input.fghc", "--verbose",
+                                "main(R)."};
+    const std::optional<Options> opts = parseTest(argv);
+    ASSERT_TRUE(opts.has_value());
+    EXPECT_TRUE(opts->has("verbose"));
+    ASSERT_EQ(opts->positional().size(), 2u);
+    EXPECT_EQ(opts->positional()[1], "main(R).");
 }
 
 TEST(Options, Defaults)
 {
-    const char* argv[] = {"prog"};
-    const Options opts = Options::parse(1, argv);
-    EXPECT_EQ(opts.getInt("missing", 42), 42);
-    EXPECT_EQ(opts.getString("missing", "x"), "x");
-    EXPECT_DOUBLE_EQ(opts.getDouble("missing", 1.5), 1.5);
-}
-
-TEST(Options, SetOverrides)
-{
-    Options opts;
-    opts.set("a", "3");
-    EXPECT_EQ(opts.getInt("a", 0), 3);
-    opts.set("a", "4");
-    EXPECT_EQ(opts.getInt("a", 0), 4);
+    const char* const argv[] = {"prog"};
+    const std::optional<Options> opts = parseTest(argv);
+    ASSERT_TRUE(opts.has_value());
+    EXPECT_EQ(opts->getInt("pes", 42), 42);
+    EXPECT_EQ(opts->getString("out", "x"), "x");
+    EXPECT_DOUBLE_EQ(opts->getDouble("timeout", 1.5), 1.5);
+    EXPECT_TRUE(opts->getAll("require").empty());
 }
 
 TEST(Options, FlagsAreKnown)
 {
-    const char* const known[] = {"pes", "smoke"};
-    const char* good[] = {"prog", "--pes", "8", "input", "--smoke"};
-    EXPECT_TRUE(flagsAreKnown("prog", 5, good, known));
-    const char* with_value[] = {"prog", "--pes=8", "--smoke"};
-    EXPECT_TRUE(flagsAreKnown("prog", 3, with_value, known));
-    const char* unknown[] = {"prog", "--pes=8", "--jobs=2"};
-    EXPECT_FALSE(flagsAreKnown("prog", 3, unknown, known));
-    const char* prefix[] = {"prog", "--pe=8"};
-    EXPECT_FALSE(flagsAreKnown("prog", 2, prefix, known));
+    const char* const good[] = {"prog", "--pes", "8", "input", "--smoke"};
+    EXPECT_TRUE(parseTest(good).has_value());
+    const char* const with_value[] = {"prog", "--pes=8", "--smoke"};
+    EXPECT_TRUE(parseTest(with_value).has_value());
+    const char* const unknown[] = {"prog", "--pes=8", "--jobs=2"};
+    EXPECT_FALSE(parseTest(unknown).has_value());
+    const char* const prefix[] = {"prog", "--pe=8"};
+    EXPECT_FALSE(parseTest(prefix).has_value());
+}
+
+TEST(Options, RefusesMalformedValues)
+{
+    const char* const whole[] = {"prog", "--pes=0x10", "--timeout", "0.5",
+                                 "--seeds=0", "--scale", "-1"};
+    const std::optional<Options> opts = parseTest(whole);
+    ASSERT_TRUE(opts.has_value());
+    EXPECT_EQ(opts->getInt("pes", 0), 16);
+    EXPECT_DOUBLE_EQ(opts->getDouble("timeout", 0), 0.5);
+    EXPECT_EQ(opts->getInt("seeds", 1), 0);
+    EXPECT_EQ(opts->getInt("scale", 0), -1);
+
+    const char* const exponent[] = {"prog", "--pes=1e3"};
+    EXPECT_FALSE(parseTest(exponent).has_value());
+    const char* const word[] = {"prog", "--scale=abc"};
+    EXPECT_FALSE(parseTest(word).has_value());
+    const char* const empty[] = {"prog", "--scale="};
+    EXPECT_FALSE(parseTest(empty).has_value());
+    const char* const unit[] = {"prog", "--timeout=2s"};
+    EXPECT_FALSE(parseTest(unit).has_value());
+    const char* const negative_count[] = {"prog", "--seeds=-1"};
+    EXPECT_FALSE(parseTest(negative_count).has_value());
+    const char* const last[] = {"prog", "--out"};
+    EXPECT_FALSE(parseTest(last).has_value());
+    const char* const before_flag[] = {"prog", "--out", "--smoke"};
+    EXPECT_FALSE(parseTest(before_flag).has_value());
+    const char* const bool_value[] = {"prog", "--smoke=1"};
+    EXPECT_FALSE(parseTest(bool_value).has_value());
+}
+
+TEST(Options, RepeatedFlagKeepsEveryValue)
+{
+    const char* const argv[] = {"prog", "--require=a.b", "--require",
+                                "c.0", "--out=x", "--out=y"};
+    const std::optional<Options> opts = parseTest(argv);
+    ASSERT_TRUE(opts.has_value());
+    EXPECT_EQ(opts->getAll("require"),
+              (std::vector<std::string>{"a.b", "c.0"}));
+    EXPECT_EQ(opts->getString("out"), "y");
 }
 
 TEST(Table, RendersAligned)
