@@ -81,6 +81,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "ablation_associativity", [&] { return pim::kl1::bench::run(argc, argv); });
 }

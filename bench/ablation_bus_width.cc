@@ -83,6 +83,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "ablation_bus_width", [&] { return pim::kl1::bench::run(argc, argv); });
 }

@@ -3,12 +3,13 @@
  * Shared helpers for the table/figure reproduction binaries.
  *
  * Every binary accepts --scale N (default 2) and --pes N (default 8),
- * refuses any other flag and any number that does not parse whole
- * (exit 1), prints the paper's reference numbers next to the measured
- * ones, and exits nonzero only on simulator errors — absolute-number
- * mismatches with the paper are expected (our substrate is a
- * synthesized workload on a simulator, not ICOT's emulator on a
- * Sequent; see EXPERIMENTS.md for the shape criteria).
+ * refuses any other flag, any positional argument and any number that
+ * does not parse whole (exit 1), prints the paper's reference numbers
+ * next to the measured ones, and otherwise exits nonzero only on a
+ * SimFault (pim::runMain) — absolute-number mismatches with the paper
+ * are expected (our substrate is a synthesized workload on a simulator,
+ * not ICOT's emulator on a Sequent; see EXPERIMENTS.md for the shape
+ * criteria).
  */
 
 #ifndef PIMCACHE_BENCH_BENCH_UTIL_H_
@@ -61,23 +62,6 @@ struct BenchContext {
         return ctx;
     }
 };
-
-/**
- * Shared `main` body for the reproduction binaries: run @p body and
- * turn an escaped SimFault into reportSimFault's one-line structured
- * error and family exit code (10 config, 11 parse, 12 detection, 13
- * liveness, 14 execution bound).
- */
-template <typename Body>
-int
-runBenchMain(const char* name, Body&& body)
-{
-    try {
-        return body();
-    } catch (const SimFault& fault) {
-        return reportSimFault(name, fault);
-    }
-}
 
 /** Print the standard banner for a reproduction binary. */
 inline void

@@ -90,6 +90,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "fig1_block_size", [&] { return pim::kl1::bench::run(argc, argv); });
 }

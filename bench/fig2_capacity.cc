@@ -87,6 +87,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "fig2_capacity", [&] { return pim::kl1::bench::run(argc, argv); });
 }

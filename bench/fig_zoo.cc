@@ -123,6 +123,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "fig_zoo", [&] { return pim::kl1::bench::run(argc, argv); });
 }

@@ -116,7 +116,9 @@ main(int argc, char** argv)
     const Flag flags[] = {{"schema", Flag::String},
                           {"require", Flag::String},
                           {"help", Flag::Bool}};
-    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    // Every positional argument is a file to check.
+    const std::optional<Options> parsed =
+        Options::parse(argc, argv, flags, SIZE_MAX);
     if (!parsed || parsed->has("help") || parsed->positional().empty()) {
         usage();
         return parsed && parsed->has("help") ? 0 : 1;

@@ -160,7 +160,7 @@ main(int argc, char** argv)
 
     const HarnessConfig harness = harnessFromOptions(opt);
 
-    try {
+    return runMain("pim_conform", [&] {
         if (opt.has("replay")) {
             const std::vector<ProtoCmd> trace =
                 parseTrace(opt.getString("replay"));
@@ -231,7 +231,5 @@ main(int argc, char** argv)
                             result.divergenceTrace);
         return verdict(opt, result.divergence,
                        result.divergenceTrace.size());
-    } catch (const SimFault& fault) {
-        return reportSimFault("pim_conform", fault);
-    }
+    });
 }

@@ -219,7 +219,7 @@ main(int argc, char** argv)
         return 0;
     }
 
-    try {
+    return runMain("pim_soak", [&] {
         const bool smoke = opts.has("smoke");
         const SoakPlan* plans = smoke ? kSmokePlans : kFullPlans;
         const std::size_t num_plans =
@@ -345,8 +345,6 @@ main(int argc, char** argv)
         }
         std::printf("zero escapes: every must-detect injection was "
                     "caught\n");
-    } catch (const SimFault& fault) {
-        return reportSimFault("pim_soak", fault);
-    }
-    return 0;
+        return 0;
+    });
 }

@@ -60,77 +60,56 @@ usage()
         "  --timeout=SECS      wall-clock budget; exceeding it is a\n"
         "                      detected Timeout fault (not in replay\n"
         "                      lines: wall-clock, not simulation state)\n"
-        "  --expect-fault      exit 0 iff a fault was detected\n"
-        "  --replay            marker flag printed in replay lines; a\n"
-        "                      stress run is a pure function of its flags\n");
+        "  --expect-fault      exit 0 iff a fault was detected\n");
 }
 
 const Flag kFlags[] = {
     {"seed", Flag::Int},              {"pes", Flag::Int},
-    {"geometry", Flag::String},       {"steps", Flag::Int},
+    {"geometry", Flag::String},       {"steps", Flag::Count},
     {"span", Flag::Int},              {"write-pct", Flag::Int},
     {"lock-pct", Flag::Int},          {"opt-pct", Flag::Int},
     {"plan", Flag::String},           {"trace-out", Flag::String},
     {"timeline-out", Flag::String},   {"attribution-out", Flag::String},
-    {"expect-fault", Flag::Bool},     {"replay", Flag::Bool},
-    {"help", Flag::Bool},             {"starvation-bound", Flag::Int},
-    {"livelock-retries", Flag::Int},  {"timeout", Flag::Double},
-    {"cluster-size", Flag::Int},      {"hop-cycles", Flag::Int},
+    {"expect-fault", Flag::Bool},     {"help", Flag::Bool},
+    {"starvation-bound", Flag::Int},  {"livelock-retries", Flag::Int},
+    {"timeout", Flag::Double},        {"cluster-size", Flag::Int},
+    {"hop-cycles", Flag::Int},
 };
 
-} // namespace
-
+/** Run the one seed @p opts names and print its outcome. */
 int
-main(int argc, char** argv)
+run(const Options& opts)
 {
-    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
-    if (!parsed) {
-        usage();
-        return 1;
-    }
-    const Options& opts = *parsed;
-    if (opts.has("help")) {
-        usage();
-        return 0;
-    }
-
     StressConfig config;
-    StressResult result;
-    try {
-        config.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
-        config.numPes =
-            static_cast<std::uint32_t>(opts.getInt("pes", 4));
-        config.setGeometry(opts.getString("geometry", "4x2x64"));
-        config.steps =
-            static_cast<std::uint64_t>(opts.getInt("steps", 20000));
-        config.spanWords =
-            static_cast<std::uint64_t>(opts.getInt("span", 4096));
-        config.writePct =
-            static_cast<std::uint32_t>(opts.getInt("write-pct", 30));
-        config.lockPct =
-            static_cast<std::uint32_t>(opts.getInt("lock-pct", 10));
-        config.optPct =
-            static_cast<std::uint32_t>(opts.getInt("opt-pct", 15));
-        config.planSpec = opts.getString("plan", "");
-        config.traceOut = opts.getString("trace-out", "");
-        config.timelineOut = opts.getString("timeline-out", "");
-        config.attributionOut = opts.getString("attribution-out", "");
-        config.clusterSize =
-            static_cast<std::uint32_t>(opts.getInt("cluster-size", 0));
-        config.hopCycles =
-            static_cast<std::uint32_t>(opts.getInt("hop-cycles", 4));
-        config.timeoutSeconds = opts.getDouble("timeout", 0);
-        config.watchdog.starvationBound = static_cast<std::uint64_t>(
-            opts.getInt("starvation-bound", 100000));
-        config.watchdog.livelockRetries = static_cast<std::uint32_t>(
-            opts.getInt("livelock-retries", 1000));
+    config.seed = static_cast<std::uint64_t>(opts.getInt("seed", 1));
+    config.numPes =
+        static_cast<std::uint32_t>(opts.getInt("pes", 4));
+    config.setGeometry(opts.getString("geometry", "4x2x64"));
+    config.steps =
+        static_cast<std::uint64_t>(opts.getInt("steps", 20000));
+    config.spanWords =
+        static_cast<std::uint64_t>(opts.getInt("span", 4096));
+    config.writePct =
+        static_cast<std::uint32_t>(opts.getInt("write-pct", 30));
+    config.lockPct =
+        static_cast<std::uint32_t>(opts.getInt("lock-pct", 10));
+    config.optPct =
+        static_cast<std::uint32_t>(opts.getInt("opt-pct", 15));
+    config.planSpec = opts.getString("plan", "");
+    config.traceOut = opts.getString("trace-out", "");
+    config.timelineOut = opts.getString("timeline-out", "");
+    config.attributionOut = opts.getString("attribution-out", "");
+    config.clusterSize =
+        static_cast<std::uint32_t>(opts.getInt("cluster-size", 0));
+    config.hopCycles =
+        static_cast<std::uint32_t>(opts.getInt("hop-cycles", 4));
+    config.timeoutSeconds = opts.getDouble("timeout", 0);
+    config.watchdog.starvationBound = static_cast<std::uint64_t>(
+        opts.getInt("starvation-bound", 100000));
+    config.watchdog.livelockRetries = static_cast<std::uint32_t>(
+        opts.getInt("livelock-retries", 1000));
 
-        result = runStress(config);
-    } catch (const SimFault& fault) {
-        // Detected faults inside runStress are result rows, not throws;
-        // anything escaping to here is a usage/config problem.
-        return reportSimFault("pim_stress", fault);
-    }
+    const StressResult result = runStress(config);
 
     if (result.failed) {
         std::printf("FAULT (%s) after %llu completed references:\n  %s\n",
@@ -168,4 +147,25 @@ main(int argc, char** argv)
     if (result.failed == expect_fault)
         return 0;
     return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    const std::optional<Options> parsed = Options::parse(argc, argv, kFlags);
+    if (!parsed) {
+        usage();
+        return 1;
+    }
+    const Options& opts = *parsed;
+    if (opts.has("help")) {
+        usage();
+        return 0;
+    }
+
+    // Detected faults inside runStress are result rows, not throws; a
+    // SimFault escaping run() is a usage or configuration problem.
+    return runMain("pim_stress", [&] { return run(opts); });
 }

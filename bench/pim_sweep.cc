@@ -93,7 +93,7 @@ main(int argc, char** argv)
         return 0;
     }
 
-    try {
+    return runMain("pim_sweep", [&] {
         const SweepSpec spec = loadSpec(opts.getString("spec", "paper"));
 
         SweepOptions options;
@@ -180,8 +180,6 @@ main(int argc, char** argv)
                             options.outDir.c_str(), sweepCheckpointName());
             }
         }
-    } catch (const SimFault& fault) {
-        return reportSimFault("pim_sweep", fault);
-    }
-    return 0;
+        return 0;
+    });
 }

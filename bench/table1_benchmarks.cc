@@ -89,6 +89,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "table1_benchmarks", [&] { return pim::kl1::bench::run(argc, argv); });
 }

@@ -136,6 +136,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "table2_areas", [&] { return pim::kl1::bench::run(argc, argv); });
 }

@@ -113,6 +113,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "table3_operations", [&] { return pim::kl1::bench::run(argc, argv); });
 }

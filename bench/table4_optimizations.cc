@@ -101,6 +101,6 @@ run(int argc, const char* const* argv)
 int
 main(int argc, char** argv)
 {
-    return pim::kl1::bench::runBenchMain(
+    return pim::runMain(
         "table4_optimizations", [&] { return pim::kl1::bench::run(argc, argv); });
 }

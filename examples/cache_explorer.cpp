@@ -16,27 +16,20 @@
 #include <iostream>
 
 #include "common/options.h"
+#include "common/sim_fault.h"
 #include "common/strutil.h"
 #include "common/table.h"
 #include "sim/trace_replay.h"
 #include "trace/synth.h"
 #include "trace/trace_file.h"
 
-int
-main(int argc, char** argv)
-{
-    using namespace pim;
+namespace {
 
-    const Flag flags[] = {
-        {"pes", Flag::Int},          {"block", Flag::Int},
-        {"ways", Flag::Int},         {"capacity", Flag::Int},
-        {"pattern", Flag::String},   {"trace-in", Flag::String},
-        {"n", Flag::Int},            {"illinois", Flag::Bool},
-    };
-    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
-    if (!parsed)
-        return 1;
-    const Options& opts = *parsed;
+using namespace pim;
+
+int
+run(const Options& opts)
+{
     std::uint32_t pes = static_cast<std::uint32_t>(opts.getInt("pes", 4));
     const std::uint32_t block =
         static_cast<std::uint32_t>(opts.getInt("block", 4));
@@ -47,6 +40,17 @@ main(int argc, char** argv)
     const std::string trace_in = opts.getString("trace-in", "");
     const std::uint64_t n = opts.getInt("n", 20000);
 
+    SystemConfig config;
+    config.numPes = pes;
+    config.cache.geometry =
+        CacheGeometry::forCapacity(capacity, block, ways);
+    const bool illinois = opts.has("illinois");
+    if (illinois)
+        config.cache.protocol = ProtocolKind::MESI;
+    // The synthetic patterns divide by --pes: refuse a bad machine first.
+    if (trace_in.empty())
+        config.validate();
+
     std::vector<MemRef> trace;
     if (!trace_in.empty()) {
         TraceReader reader(trace_in);
@@ -56,15 +60,16 @@ main(int argc, char** argv)
         // The recorded machine's width, not --pes: its references name
         // every PE it had.
         pes = reader.numPes();
+        config.numPes = pes;
         std::printf("loaded %zu refs from %s (%u PEs)\n", trace.size(),
                     trace_in.c_str(), pes);
     } else if (pattern == "random") {
-        RandomTrafficConfig config;
-        config.numPes = pes;
-        config.refsPerPe = n;
-        config.writePctX100 = 3000;
-        config.lockPctX100 = 300;
-        trace = makeRandomTraffic(config);
+        RandomTrafficConfig traffic;
+        traffic.numPes = pes;
+        traffic.refsPerPe = n;
+        traffic.writePctX100 = 3000;
+        traffic.lockPctX100 = 300;
+        trace = makeRandomTraffic(traffic);
     } else if (pattern == "producer") {
         trace = makeProducerConsumer(0, pes > 1 ? 1 : 0, pes, 0, 1 << 14,
                                      8, n / 16, true);
@@ -83,13 +88,6 @@ main(int argc, char** argv)
         return 1;
     }
 
-    SystemConfig config;
-    config.numPes = pes;
-    config.cache.geometry =
-        CacheGeometry::forCapacity(capacity, block, ways);
-    const bool illinois = opts.has("illinois");
-    if (illinois)
-        config.cache.protocol = ProtocolKind::MESI;
     // Size the backing store to cover every address in the trace.
     Addr max_addr = 1 << 20;
     for (const MemRef& ref : trace)
@@ -135,4 +133,21 @@ main(int argc, char** argv)
     }
     patterns.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    const Flag flags[] = {
+        {"pes", Flag::Int},          {"block", Flag::Int},
+        {"ways", Flag::Int},         {"capacity", Flag::Int},
+        {"pattern", Flag::String},   {"trace-in", Flag::String},
+        {"n", Flag::Count},          {"illinois", Flag::Bool},
+    };
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed)
+        return 1;
+    return runMain("cache_explorer", [&] { return run(*parsed); });
 }

@@ -14,69 +14,52 @@
  *   --illinois       use the copy-back-on-share baseline protocol
  *   --gc             enable stop-and-copy heap GC (semispace heaps)
  *   --heap W         heap words per PE (default 2^22)
- *   --stats          print the full statistics breakdown
  *   --report         print every standard report table
  *   --disasm         print the compiled KL1-B code and exit
  *   --trace FILE     record the memory-reference trace to FILE
+ *
+ * A bad command line exits 1; a SimFault from the program or the machine
+ * is one "kl1run: error: kind=..." line and its family exit code.
  */
 
 #include <cstdio>
-#include <iostream>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
 
 #include "common/options.h"
 #include "common/sim_fault.h"
 #include "common/strutil.h"
-#include "common/table.h"
-#include "common/xassert.h"
 #include "kl1/compiler.h"
 #include "kl1/emulator.h"
 #include "kl1/parser.h"
 #include "sim/report.h"
 #include "trace/trace_file.h"
 
+namespace {
+
+using namespace pim;
+using namespace pim::kl1;
+
 int
-main(int argc, char** argv)
+usageError(const std::string& reason)
 {
-    using namespace pim;
-    using namespace pim::kl1;
+    std::fprintf(stderr, "kl1run: %s\n", reason.c_str());
+    return 1;
+}
 
-    const Flag flags[] = {
-        {"pes", Flag::Int},       {"policy", Flag::String},
-        {"block", Flag::Int},     {"ways", Flag::Int},
-        {"capacity", Flag::Int},  {"illinois", Flag::Bool},
-        {"gc", Flag::Bool},       {"heap", Flag::Int},
-        {"stats", Flag::Bool},    {"report", Flag::Bool},
-        {"disasm", Flag::Bool},   {"trace", Flag::String},
-    };
-    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
-    if (!parsed)
-        return 1;
-    const Options& opts = *parsed;
-    if (opts.positional().size() < 1) {
-        std::fprintf(stderr,
-                     "usage: kl1run program.fghc [\"query(Args, R).\"] "
-                     "[--pes N] [--policy all|none|heap|goal|comm]\n"
-                     "       [--block W --ways N --capacity W] "
-                     "[--illinois] [--stats] [--disasm] [--trace F]\n");
-        return 1;
-    }
-
-    std::ifstream file(opts.positional()[0]);
+int
+run(const Options& opts)
+{
+    const std::string path = opts.positional()[0];
+    std::ifstream file(path);
     if (!file)
-        PIM_FATAL("cannot open ", opts.positional()[0]);
+        return usageError("cannot open " + path);
     std::stringstream buffer;
     buffer << file.rdbuf();
 
-    Module module;
-    try {
-        module = compileProgram(
-            parseProgram(buffer.str(), opts.positional()[0]));
-    } catch (const SimFault& fault) {
-        std::fprintf(stderr, "kl1run: %s\n", fault.what());
-        return 1;
-    }
+    Module module = compileProgram(parseProgram(buffer.str(), path));
     if (opts.has("disasm")) {
         std::fputs(module.disassembleAll().c_str(), stdout);
         return 0;
@@ -100,7 +83,7 @@ main(int argc, char** argv)
     } else if (policy == "comm") {
         config.policy = OptPolicy::commOnly();
     } else {
-        PIM_FATAL("unknown --policy ", policy);
+        return usageError("unknown --policy " + policy);
     }
     config.cache.geometry = CacheGeometry::forCapacity(
         opts.getInt("capacity", 4096),
@@ -123,22 +106,17 @@ main(int argc, char** argv)
             [&](const MemRef& ref) { writer->append(ref); });
     }
 
-    RunStats stats;
-    try {
-        stats = emu.run(query);
-    } catch (const SimFault& fault) {
-        std::fprintf(stderr, "kl1run: %s\n", fault.what());
-        return 1;
-    }
+    const RunStats stats = emu.run(query);
 
     for (const std::string& result : emu.results())
         std::printf("result: %s\n", result.c_str());
     for (const auto& [name, value] : emu.queryBindings())
         std::printf("%s = %s\n", name.c_str(), value.c_str());
 
-    std::printf("\n%s reductions, %s suspensions, %s steals, "
-                "%s cycles\n",
+    std::printf("\n%s reductions, %s KL1 instructions, %s suspensions, "
+                "%s steals, %s cycles\n",
                 fmtCount(stats.reductions).c_str(),
+                fmtCount(stats.instructions).c_str(),
                 fmtCount(stats.suspensions).c_str(),
                 fmtCount(stats.steals).c_str(),
                 fmtCount(stats.makespan).c_str());
@@ -158,40 +136,37 @@ main(int argc, char** argv)
 
     if (opts.has("report"))
         std::fputs(reportAll(emu.system()).c_str(), stdout);
-    if (opts.has("stats")) {
-        const BusStats& bus = emu.system().bus().stats();
-        const CacheStats cache = emu.system().totalCacheStats();
-        const RefStats& refs = emu.system().refStats();
-        Table table("statistics");
-        table.setHeader({"metric", "value"});
-        table.addRow({"memory references", fmtCount(refs.total())});
-        table.addRow({"instructions",
-                      fmtCount(stats.instructions)});
-        table.addRow({"bus cycles", fmtCount(bus.totalCycles)});
-        table.addRow({"miss ratio %",
-                      fmtFixed(cache.missRatio() * 100, 2)});
-        table.addRow({"memory busy cycles",
-                      fmtCount(bus.memoryBusyCycles)});
-        table.addRow({"swap-outs", fmtCount(cache.swapOuts)});
-        table.addRow({"purges (ER/RP)", fmtCount(cache.purges)});
-        table.addRow({"DW no-fetch", fmtCount(cache.dwAllocNoFetch)});
-        table.addRow({"LR zero-bus %",
-                      fmtFixed(cache.lrCount == 0
-                                   ? 0.0
-                                   : 100.0 *
-                                         static_cast<double>(
-                                             cache.lrHitExclusive) /
-                                         static_cast<double>(
-                                             cache.lrCount),
-                               1)});
-        Table areas("\nbus cycles by area");
-        areas.setHeader({"area", "cycles"});
-        for (int a = 0; a < kNumAreas; ++a) {
-            areas.addRow({areaName(static_cast<Area>(a)),
-                          fmtCount(bus.cyclesByArea[a])});
-        }
-        table.print(std::cout);
-        areas.print(std::cout);
-    }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    using namespace pim;
+
+    const Flag flags[] = {
+        {"pes", Flag::Int},       {"policy", Flag::String},
+        {"block", Flag::Int},     {"ways", Flag::Int},
+        {"capacity", Flag::Int},  {"illinois", Flag::Bool},
+        {"gc", Flag::Bool},       {"heap", Flag::Int},
+        {"report", Flag::Bool},   {"disasm", Flag::Bool},
+        {"trace", Flag::String},
+    };
+    // The program file, then the query.
+    const std::optional<Options> parsed =
+        Options::parse(argc, argv, flags, 2);
+    if (!parsed)
+        return 1;
+    if (parsed->positional().empty()) {
+        std::fprintf(stderr,
+                     "usage: kl1run program.fghc [\"query(Args, R).\"] "
+                     "[--pes N] [--policy all|none|heap|goal|comm]\n"
+                     "       [--block W --ways N --capacity W] "
+                     "[--illinois] [--gc --heap W] [--report] [--disasm] "
+                     "[--trace F]\n");
+        return 1;
+    }
+    return runMain("kl1run", [&] { return run(*parsed); });
 }

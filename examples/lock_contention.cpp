@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "common/sim_fault.h"
 #include "sim/system.h"
 
 namespace {
@@ -27,10 +28,8 @@ show(const System& sys, Addr addr, const char* what)
                 lockStateName(sys.cache(1).lockDirectory().stateOf(addr)));
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     SystemConfig config;
     config.numPes = 2;
@@ -96,4 +95,12 @@ main()
                     sys.bus().stats().cmdCounts[static_cast<int>(
                         BusCmd::UL)]));
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return pim::runMain("lock_contention", run);
 }

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/options.h"
+#include "common/sim_fault.h"
 #include "obs/attribution.h"
 #include "obs/timeline.h"
 #include "sim/system.h"
@@ -140,14 +141,16 @@ main(int argc, char** argv)
         pim::Options::parse(argc, argv, flags);
     if (!opts)
         return 1;
-    std::printf("The write-once/read-once goal handoff of paper "
-                "Section 2.3,\nwith and without the Section 3.2 "
-                "commands.\n");
-    runHandoff(true, *opts);
-    runHandoff(false, *opts);
-    std::printf("\nThe optimized handoff moves each block exactly once"
-                "\n(cache-to-cache) and leaves no residue to swap in or"
-                "\nout — the 'meaningless swap-in and swap-out' the"
-                "\npaper's commands exist to avoid.\n");
-    return 0;
+    return pim::runMain("protocol_trace", [&] {
+        std::printf("The write-once/read-once goal handoff of paper "
+                    "Section 2.3,\nwith and without the Section 3.2 "
+                    "commands.\n");
+        runHandoff(true, *opts);
+        runHandoff(false, *opts);
+        std::printf("\nThe optimized handoff moves each block exactly "
+                    "once\n(cache-to-cache) and leaves no residue to swap "
+                    "in or\nout — the 'meaningless swap-in and swap-out' "
+                    "the\npaper's commands exist to avoid.\n");
+        return 0;
+    });
 }

@@ -11,13 +11,16 @@
 
 #include <cstdio>
 
+#include "common/sim_fault.h"
 #include "common/strutil.h"
 #include "kl1/compiler.h"
 #include "kl1/emulator.h"
 #include "kl1/parser.h"
 
+namespace {
+
 int
-main()
+run()
 {
     using namespace pim;
     using namespace pim::kl1;
@@ -89,4 +92,12 @@ main()
                     : 100.0 * static_cast<double>(cache.lrHitExclusive) /
                           static_cast<double>(cache.lrCount));
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return pim::runMain("quickstart", run);
 }

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "common/options.h"
+#include "common/sim_fault.h"
 #include "common/strutil.h"
 #include "common/table.h"
 #include "kl1/compiler.h"
@@ -43,19 +44,12 @@ const char* kSieve = R"(
     main(N, C) :- true | primes(N, Ps), count(Ps, 0, C).
 )";
 
-} // namespace
-
 int
-main(int argc, char** argv)
+run(const pim::Options& opts)
 {
     using namespace pim;
     using namespace pim::kl1;
 
-    const Flag flags[] = {{"limit", Flag::Int}, {"pes", Flag::Int}};
-    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
-    if (!parsed)
-        return 1;
-    const Options& opts = *parsed;
     const std::int64_t limit = opts.getInt("limit", 400);
     const std::uint32_t pes =
         static_cast<std::uint32_t>(opts.getInt("pes", 4));
@@ -106,4 +100,18 @@ main(int argc, char** argv)
                 100.0 * static_cast<double>(bus[0].totalCycles) /
                     static_cast<double>(bus[1].totalCycles));
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    using namespace pim;
+
+    const Flag flags[] = {{"limit", Flag::Int}, {"pes", Flag::Int}};
+    const std::optional<Options> parsed = Options::parse(argc, argv, flags);
+    if (!parsed)
+        return 1;
+    return runMain("stream_pipeline", [&] { return run(*parsed); });
 }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim::kl1::bench {
@@ -392,8 +393,8 @@ benchmarkByName(const std::string& name)
         if (bench.name == name)
             return bench;
     }
-    PIM_FATAL("unknown benchmark: ", name,
-              " (expected Tri, Semi, Puzzle or Pascal)");
+    throw PIM_SIM_FAULT(SimFaultKind::Config, "unknown benchmark: ", name,
+                        " (expected Tri, Semi, Puzzle or Pascal)");
 }
 
 } // namespace pim::kl1::bench

@@ -50,7 +50,7 @@ std::string pascalSource();
 /** All four benchmarks, in the paper's order. */
 const std::vector<BenchProgram>& allBenchmarks();
 
-/** Find a benchmark by (case-sensitive) name; fatal if unknown. */
+/** Find a benchmark by (case-sensitive) name; SimFault(Config) if unknown. */
 const BenchProgram& benchmarkByName(const std::string& name);
 
 } // namespace pim::kl1::bench

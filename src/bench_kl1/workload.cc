@@ -1,6 +1,6 @@
 #include "bench_kl1/workload.h"
 
-#include "common/xassert.h"
+#include "common/sim_fault.h"
 #include "kl1/compiler.h"
 #include "kl1/parser.h"
 
@@ -44,8 +44,10 @@ runBenchmark(const BenchProgram& bench, std::uint32_t scale,
             result.answer = value;
     }
     if (!result.expected.empty() && result.answer != result.expected) {
-        PIM_FATAL("benchmark ", bench.name, " computed ", result.answer,
-                  " but the host-side mirror expected ", result.expected);
+        throw PIM_SIM_FAULT(SimFaultKind::Corruption, "benchmark ",
+                            bench.name, " computed ", result.answer,
+                            " but the host-side mirror expected ",
+                            result.expected);
     }
     result.refs = emu.system().refStats();
     result.bus = emu.system().bus().stats();

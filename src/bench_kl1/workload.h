@@ -37,7 +37,10 @@ struct BenchResult {
 Kl1Config paperConfig(std::uint32_t num_pes = 8,
                       OptPolicy policy = OptPolicy::all());
 
-/** Run @p bench at @p scale on @p config and collect the metrics. */
+/**
+ * Run @p bench at @p scale on @p config and collect the metrics;
+ * SimFault(Corruption) if the answer differs from the host-side mirror.
+ */
 BenchResult runBenchmark(const BenchProgram& bench, std::uint32_t scale,
                          const Kl1Config& config);
 

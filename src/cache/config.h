@@ -10,6 +10,7 @@
 
 #include "cache/protocol.h"
 #include "cache/replacement.h"
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim {
@@ -30,21 +31,27 @@ struct CacheGeometry {
         return static_cast<std::uint64_t>(blockWords) * ways * sets;
     }
 
-    /** Derive the set count from a target capacity. */
+    /**
+     * Derive the set count from a target capacity; SimFault(Config)
+     * unless block x ways divides it. The rest of the geometry is
+     * checked by SystemConfig::validate.
+     */
     static CacheGeometry
     forCapacity(std::uint64_t capacity_words, std::uint32_t block_words,
                 std::uint32_t ways)
     {
+        const std::uint64_t column =
+            static_cast<std::uint64_t>(block_words) * ways;
+        if (column == 0 || capacity_words % column != 0) {
+            throw PIM_SIM_FAULT(SimFaultKind::Config, "cache capacity ",
+                                capacity_words, " words is not a multiple "
+                                "of blockWords x ways (", block_words, " x ",
+                                ways, ")");
+        }
         CacheGeometry geom;
         geom.blockWords = block_words;
         geom.ways = ways;
-        PIM_ASSERT(capacity_words %
-                       (static_cast<std::uint64_t>(block_words) * ways) == 0,
-                   "capacity not divisible by block*ways");
-        geom.sets = static_cast<std::uint32_t>(
-            capacity_words / (static_cast<std::uint64_t>(block_words) *
-                              ways));
-        geom.validate();
+        geom.sets = static_cast<std::uint32_t>(capacity_words / column);
         return geom;
     }
 

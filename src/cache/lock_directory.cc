@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 #include "obs/event_sink.h"
 
@@ -62,9 +63,9 @@ LockDirectory::acquire(Addr word_addr, Cycles when)
             return;
         }
     }
-    PIM_FATAL("lock directory of pe", owner_, " is full (", entries_,
-              " entries); the program nests more locks than the hardware "
-              "supports");
+    throw PIM_SIM_FAULT(SimFaultKind::Config, "lock directory of pe", owner_,
+                        " is full (", entries_, " entries); the program "
+                        "nests more locks than CacheConfig::lockEntries");
 }
 
 bool

@@ -41,9 +41,9 @@ class LockDirectory : public LockSnooper
 
     /**
      * Register a lock on @p word_addr in the LCK state at local time
-     * @p when. Fatal if the directory is full or the word is already
-     * locked by this PE (the KL1 engine locks at most `entries` words,
-     * in address order).
+     * @p when. SimFault(Config) if the directory is full (the KL1
+     * engine locks at most `entries` words, in address order); panics if
+     * the word is already locked by this PE.
      */
     void acquire(Addr word_addr, Cycles when = 0);
 

@@ -435,28 +435,35 @@ JsonValue::parseFile(const std::string& path)
 bool
 JsonValue::asBool() const
 {
-    PIM_ASSERT(kind_ == Kind::Bool, "JSON value is not a bool");
+    if (kind_ != Kind::Bool)
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "json: value is not a bool");
     return bool_;
 }
 
 double
 JsonValue::asNumber() const
 {
-    PIM_ASSERT(kind_ == Kind::Number, "JSON value is not a number");
+    if (kind_ != Kind::Number)
+        throw PIM_SIM_FAULT(SimFaultKind::Parse,
+                            "json: value is not a number");
     return number_;
 }
 
 const std::string&
 JsonValue::asString() const
 {
-    PIM_ASSERT(kind_ == Kind::String, "JSON value is not a string");
+    if (kind_ != Kind::String)
+        throw PIM_SIM_FAULT(SimFaultKind::Parse,
+                            "json: value is not a string");
     return string_;
 }
 
 const std::vector<JsonValue>&
 JsonValue::asArray() const
 {
-    PIM_ASSERT(kind_ == Kind::Array, "JSON value is not an array");
+    if (kind_ != Kind::Array)
+        throw PIM_SIM_FAULT(SimFaultKind::Parse,
+                            "json: value is not an array");
     return elements_;
 }
 
@@ -476,7 +483,9 @@ const JsonValue&
 JsonValue::at(const std::string& name) const
 {
     const JsonValue* v = find(name);
-    PIM_ASSERT(v != nullptr, "JSON object has no member '", name, "'");
+    if (v == nullptr)
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "json: no member '", name,
+                            "'");
     return *v;
 }
 
@@ -493,8 +502,9 @@ JsonValue::size() const
 const JsonValue&
 JsonValue::at(std::size_t index) const
 {
-    PIM_ASSERT(kind_ == Kind::Array, "JSON value is not an array");
-    PIM_ASSERT(index < elements_.size(), "JSON array index out of range");
+    if (kind_ != Kind::Array || index >= elements_.size())
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "json: no array element ",
+                            index);
     return elements_[index];
 }
 

@@ -101,7 +101,10 @@ class JsonValue
     bool isArray() const { return kind_ == Kind::Array; }
     bool isObject() const { return kind_ == Kind::Object; }
 
-    /** Value accessors; fatal if the kind does not match. */
+    /**
+     * Value accessors; SimFault(Parse) if the kind does not match (a
+     * parsed document is input).
+     */
     bool asBool() const;
     double asNumber() const;
     const std::string& asString() const;
@@ -110,7 +113,7 @@ class JsonValue
     /** Object member by key (insertion order preserved), or nullptr. */
     const JsonValue* find(const std::string& name) const;
 
-    /** Object member by key; fatal if absent or not an object. */
+    /** Object member by key; SimFault(Parse) if absent. */
     const JsonValue& at(const std::string& name) const;
 
     /** Object member presence. */
@@ -119,7 +122,7 @@ class JsonValue
     /** Array element count (0 for non-arrays/objects). */
     std::size_t size() const;
 
-    /** Array element by index; fatal if out of range. */
+    /** Array element by index; SimFault(Parse) if there is none. */
     const JsonValue& at(std::size_t index) const;
 
     /** Object members in document order. */

@@ -35,7 +35,7 @@ valueRule(Flag::Type type, const std::string& value)
 
 std::optional<Options>
 Options::parse(int argc, const char* const* argv,
-               std::span<const Flag> flags)
+               std::span<const Flag> flags, std::size_t max_positional)
 {
     const std::string program =
         std::filesystem::path(argv[0]).filename().string();
@@ -48,6 +48,8 @@ Options::parse(int argc, const char* const* argv,
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (!startsWith(arg, "--")) {
+            if (opts.positional_.size() == max_positional)
+                return refuse("unexpected argument '" + arg + "'");
             opts.positional_.push_back(arg);
             continue;
         }

@@ -37,16 +37,19 @@ class Options
 {
   public:
     /**
-     * Parse argv against @p flags, every flag the binary reads. A valued
-     * flag is "--name value" or "--name=value", a Bool flag "--name";
-     * every argument not starting with "--" is positional. Returns
-     * nullopt, after printing "<program>: <reason>" to stderr, on an
-     * unknown flag, a Bool flag given a value, a valued flag given none,
-     * a number that does not parse whole, or a negative Count: each
-     * would otherwise run something other than the run asked for.
+     * Parse argv against @p flags, every flag the binary reads, and at
+     * most @p max_positional positional arguments. A valued flag is
+     * "--name value" or "--name=value", a Bool flag "--name"; every
+     * argument not starting with "--" is positional. Returns nullopt,
+     * after printing "<program>: <reason>" to stderr, on an unknown
+     * flag, a Bool flag given a value, a valued flag given none, a
+     * number that does not parse whole, a negative Count, or one
+     * positional more than the binary reads: each would otherwise run
+     * something other than the run asked for.
      */
     static std::optional<Options> parse(int argc, const char* const* argv,
-                                        std::span<const Flag> flags);
+                                        std::span<const Flag> flags,
+                                        std::size_t max_positional = 0);
 
     /** True if --name was given. */
     bool has(const std::string& name) const;

@@ -1,14 +1,18 @@
 /**
  * @file
- * Structured simulator fault: the error type raised by configuration
- * validation, the KL1 front end, the coherence auditor and the lock
- * watchdog.
+ * Structured simulator fault: the one way the library reports an error
+ * that a command line, a spec or trace file or an FGHC program can
+ * cause. Configuration validation, the KL1 front end and emulator, the
+ * trace reader, the drive loops, the coherence auditor and the lock
+ * watchdog all throw it.
  *
- * Unlike PIM_PANIC / PIM_FATAL (which terminate the process), a SimFault
- * is a recoverable, catchable error: the stress harness catches it, turns
- * it into a replay line, and keeps the process alive to report. The kind
- * classifies the failure so tests and tooling can distinguish, say, a
- * detected coherence corruption from a lock deadlock.
+ * A SimFault is a recoverable, catchable error: the stress harness turns
+ * it into a replay line, the sweep runner into one failed row while the
+ * rest of the grid drains, and every tool's main() into one structured
+ * line and a family exit code (runMain). The kind classifies the failure
+ * so tests and tooling can distinguish, say, a detected coherence
+ * corruption from a lock deadlock. PIM_PANIC / PIM_ASSERT
+ * (common/xassert.h) are for simulator bugs only, and abort.
  */
 
 #ifndef PIMCACHE_COMMON_SIM_FAULT_H_
@@ -33,10 +37,8 @@ enum class SimFaultKind : std::uint8_t {
     Livelock = 5,   ///< Same access retried without commit (watchdog).
     Starvation = 6, ///< A parked PE aged past the LWAIT bound (watchdog).
     Timeout = 7,    ///< Wall-clock deadline exceeded (RunGuard).
+    Program = 8,    ///< The FGHC program failed while running.
 };
-
-/** Number of SimFaultKind enumerators. */
-inline constexpr int kNumSimFaultKinds = 8;
 
 /** Stable lowercase name, used in replay lines and test assertions. */
 inline const char*
@@ -51,6 +53,7 @@ simFaultKindName(SimFaultKind kind)
       case SimFaultKind::Livelock:   return "livelock";
       case SimFaultKind::Starvation: return "starvation";
       case SimFaultKind::Timeout:    return "timeout";
+      case SimFaultKind::Program:    return "program";
     }
     return "?";
 }
@@ -58,9 +61,10 @@ simFaultKindName(SimFaultKind kind)
 /**
  * Process exit code for a SimFault caught at a tool's main(), one per
  * kind family so scripts can classify failures without parsing stderr
- * (docs/ROBUSTNESS.md "Structured error exits"):
+ * (docs/ROBUSTNESS.md "Structured bench exit codes"):
  *
- *   10 config, 11 parse, 12 detection (corruption/protocol),
+ *   10 config, 11 parse and program,
+ *   12 detection (corruption/protocol),
  *   13 liveness (deadlock/livelock/starvation),
  *   14 execution bound (timeout).
  */
@@ -69,7 +73,8 @@ simFaultExitCode(SimFaultKind kind)
 {
     switch (kind) {
       case SimFaultKind::Config:     return 10;
-      case SimFaultKind::Parse:      return 11;
+      case SimFaultKind::Parse:
+      case SimFaultKind::Program:    return 11;
       case SimFaultKind::Corruption:
       case SimFaultKind::Protocol:   return 12;
       case SimFaultKind::Deadlock:
@@ -103,18 +108,25 @@ class SimFault : public std::runtime_error
 };
 
 /**
- * Report @p fault, caught at @p tool's main(), as one structured line on
- * stderr ("<tool>: error: kind=<kind> exit=<code> <message>") and return
- * its family exit code, so scripts can triage a failure without parsing
- * prose.
+ * The shared body of every tool's main(): run @p body and report a
+ * SimFault escaping it as one structured line on stderr
+ * ("<tool>: error: kind=<kind> exit=<code> <message>"), returning its
+ * family exit code, so scripts can triage a failure without parsing
+ * prose. The objects @p body built are destroyed while the fault
+ * unwinds, so a System torn down mid-run skips its parked-PE check.
  */
-inline int
-reportSimFault(const char* tool, const SimFault& fault)
+template <typename Body>
+int
+runMain(const char* tool, Body&& body)
 {
-    std::fprintf(stderr, "%s: error: kind=%s exit=%d %s\n", tool,
-                 simFaultKindName(fault.kind()),
-                 simFaultExitCode(fault.kind()), fault.what());
-    return simFaultExitCode(fault.kind());
+    try {
+        return body();
+    } catch (const SimFault& fault) {
+        std::fprintf(stderr, "%s: error: kind=%s exit=%d %s\n", tool,
+                     simFaultKindName(fault.kind()),
+                     simFaultExitCode(fault.kind()), fault.what());
+        return simFaultExitCode(fault.kind());
+    }
 }
 
 } // namespace pim

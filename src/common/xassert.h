@@ -1,11 +1,14 @@
 /**
  * @file
- * Assertion and error-termination helpers.
+ * Assertion helpers for simulator bugs.
  *
- * Follows the gem5 distinction: panic() for internal invariant violations
- * (a simulator bug), fatal() for user errors (bad configuration, malformed
- * input programs). Both are always on, independent of NDEBUG, because a
- * silently incoherent cache model is worse than a slow one.
+ * PIM_ASSERT and PIM_PANIC guard internal invariants: reaching one means
+ * the simulator itself is wrong, so they print "panic: file:line: ..."
+ * and abort. They are always on, independent of NDEBUG, because a
+ * silently incoherent cache model is worse than a slow one. Anything a
+ * command line, a spec or trace file, or an FGHC program can cause is
+ * not a bug and never reaches them: it is a classified SimFault
+ * (common/sim_fault.h).
  */
 
 #ifndef PIMCACHE_COMMON_XASSERT_H_
@@ -23,13 +26,6 @@ panicImpl(const char* file, int line, const std::string& msg)
 {
     std::fprintf(stderr, "panic: %s:%d: %s\n", file, line, msg.c_str());
     std::abort();
-}
-
-[[noreturn]] inline void
-fatalImpl(const char* file, int line, const std::string& msg)
-{
-    std::fprintf(stderr, "fatal: %s:%d: %s\n", file, line, msg.c_str());
-    std::exit(1);
 }
 
 /** Build a message from stream-style arguments. */
@@ -57,9 +53,5 @@ formatMsg(Args&&... args)
 /** Unconditional internal error. */
 #define PIM_PANIC(...)                                                      \
     ::pim::panicImpl(__FILE__, __LINE__, ::pim::formatMsg(__VA_ARGS__))
-
-/** Unconditional user-facing error (bad input, bad configuration). */
-#define PIM_FATAL(...)                                                      \
-    ::pim::fatalImpl(__FILE__, __LINE__, ::pim::formatMsg(__VA_ARGS__))
 
 #endif // PIMCACHE_COMMON_XASSERT_H_

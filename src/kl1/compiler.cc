@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim::kl1 {
@@ -77,8 +78,9 @@ class ClauseCompiler
     [[noreturn]] void
     err(const std::string& what) const
     {
-        PIM_FATAL("KL1 compile error in ", proc_.name, "/", proc_.arity,
-                  " (clause at line ", clause_.line, "): ", what);
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "KL1 compile error in ",
+                            proc_.name, "/", proc_.arity, " (clause at line ",
+                            clause_.line, "): ", what);
     }
 
     void

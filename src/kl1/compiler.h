@@ -8,7 +8,7 @@
  *
  * terminated by a SuspendOrFail epilogue: if any clause's passive part
  * met an unbound variable it needed, the goal suspends on those
- * variables; otherwise the program fails (a fatal error in KL1).
+ * variables; otherwise the program fails (SimFault(Program)).
  *
  * Register discipline: goal arguments arrive in X0..Xn-1; registers bound
  * during head matching and named body variables are persistent for the
@@ -23,8 +23,8 @@
 
 namespace pim::kl1 {
 
-/** Compile a parsed program. Fatal on semantic errors (undefined
- *  procedures, malformed guards, register overflow). */
+/** Compile a parsed program. SimFault(Parse) on semantic errors
+ *  (undefined procedures, malformed guards, register overflow). */
 Module compileProgram(const Program& program);
 
 /** True if name/arity is a body builtin handled inline by the compiler. */

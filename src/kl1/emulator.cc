@@ -1,8 +1,8 @@
 #include "kl1/emulator.h"
 
 #include <algorithm>
+#include <exception>
 
-#include "common/log.h"
 #include "common/sim_fault.h"
 #include "common/xassert.h"
 #include "kl1/gc.h"
@@ -12,16 +12,9 @@ namespace pim::kl1 {
 
 namespace {
 
-LayoutConfig
-layoutFor(const Kl1Config& config)
-{
-    LayoutConfig layout = config.layout;
-    layout.numPes = config.numPes;
-    return layout;
-}
-
+/** @p config's machine; its memory keeps SystemConfig's default size. */
 SystemConfig
-systemFor(const Kl1Config& config, const Layout& layout)
+systemFor(const Kl1Config& config)
 {
     SystemConfig sys;
     sys.numPes = config.numPes;
@@ -29,10 +22,29 @@ systemFor(const Kl1Config& config, const Layout& layout)
     sys.timing = config.timing;
     sys.policy = config.policy;
     sys.cluster = config.cluster;
-    // Cover every layout area, rounded up to whole cache blocks (the
-    // max() guards the division; validate() rejects blockWords == 0).
-    const std::uint64_t block =
-        std::max<std::uint64_t>(1, sys.cache.geometry.blockWords);
+    return sys;
+}
+
+/**
+ * @p config's address-space layout. The machine is validated first: the
+ * Layout asserts on zero PEs, and a configuration is outside input.
+ */
+LayoutConfig
+layoutFor(const Kl1Config& config)
+{
+    systemFor(config).validate();
+    LayoutConfig layout = config.layout;
+    layout.numPes = config.numPes;
+    return layout;
+}
+
+/** @p config's machine with memory covering every @p layout area. */
+SystemConfig
+systemFor(const Kl1Config& config, const Layout& layout)
+{
+    SystemConfig sys = systemFor(config);
+    // Rounded up to whole cache blocks (layoutFor validated blockWords).
+    const std::uint64_t block = sys.cache.geometry.blockWords;
     sys.memoryWords = (layout.totalWords() + block - 1) / block * block;
     sys.validate(layout.totalWords());
     return sys;
@@ -49,10 +61,11 @@ Emulator::Emulator(Module module, const Kl1Config& config)
     PIM_ASSERT(module_.totalWords() > 0 || module_.code.empty(),
                "module not finalized");
     if (module_.totalWords() > layout_.instrRange().size) {
-        PIM_FATAL("compiled code (", module_.totalWords(),
-                  " words) does not fit the instruction area (",
-                  layout_.instrRange().size,
-                  " words); increase LayoutConfig::instrWords");
+        throw PIM_SIM_FAULT(SimFaultKind::Config, "compiled code (",
+                            module_.totalWords(),
+                            " words) does not fit the instruction area (",
+                            layout_.instrRange().size,
+                            " words); increase LayoutConfig::instrWords");
     }
     machines_.reserve(config_.numPes);
     for (PeId pe = 0; pe < config_.numPes; ++pe)
@@ -135,8 +148,11 @@ Emulator::run(const std::string& query)
     // Parse the query and seed PE0's goal list with it (direct memory
     // writes: the caches are still empty, so this is setup, not traffic).
     const PTerm goal = parseGoalTerm(query);
-    if (goal.kind != PTerm::Kind::Atom && goal.kind != PTerm::Kind::Struct)
-        PIM_FATAL("query must be a goal, e.g. \"main(10,R)\": ", query);
+    if (goal.kind != PTerm::Kind::Atom && goal.kind != PTerm::Kind::Struct) {
+        throw PIM_SIM_FAULT(SimFaultKind::Parse,
+                            "query must be a goal, e.g. \"main(10,R)\": ",
+                            query);
+    }
     const std::uint32_t arity =
         static_cast<std::uint32_t>(goal.args.size());
     const std::uint32_t proc = module_.procId(goal.name, arity);
@@ -162,13 +178,22 @@ Emulator::run(const std::string& query)
     // System::access on every memory reference, so a non-terminating
     // program raises SimFault(Timeout) instead of spinning forever. The
     // attach is scoped — the guard is a local and must not outlive run().
+    // A fault leaving run() also ends the run: its lock waiters are
+    // un-parked, so the System can be torn down once the caller has
+    // handled the fault.
     RunGuard guard(config_.timeoutSeconds > 0
                        ? Deadline::afterSeconds(config_.timeoutSeconds)
                        : Deadline::never());
-    struct GuardDetach {
+    struct RunExit {
         System& sys;
-        ~GuardDetach() { sys.setRunGuard(nullptr); }
-    } detach{*sys_};
+        int uncaught = std::uncaught_exceptions();
+        ~RunExit()
+        {
+            sys.setRunGuard(nullptr);
+            if (std::uncaught_exceptions() > uncaught)
+                sys.abandonParkedWaiters();
+        }
+    } onExit{*sys_};
     if (config_.timeoutSeconds > 0)
         sys_->setRunGuard(&guard);
 
@@ -197,8 +222,9 @@ Emulator::run(const std::string& query)
 
         const PeId pe = sys_->earliestRunnable();
         if (pe == kNoPe) {
-            PIM_PANIC("all PEs are busy-waiting on locks: "
-                      "simulation deadlock");
+            throw PIM_SIM_FAULT(SimFaultKind::Deadlock,
+                                "every PE with work left is busy-waiting "
+                                "on a lock");
         }
         machines_[pe]->step();
         ++steps;
@@ -227,12 +253,10 @@ Emulator::run(const std::string& query)
         std::max<std::int64_t>(floatingGoals_, 0));
     stats.gc = gcStats_;
     if (stats.deadlockedGoals > 0 && config_.failOnDeadlock) {
-        PIM_FATAL("program deadlock: ", stats.deadlockedGoals,
-                  " goal(s) remain suspended with no producer left");
-    }
-    if (stats.deadlockedGoals > 0) {
-        PIM_WARN("program ended with " << stats.deadlockedGoals
-                                       << " suspended goal(s)");
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "program deadlock: ",
+                            stats.deadlockedGoals,
+                            " goal(s) remain suspended with no producer "
+                            "left");
     }
     return stats;
 }

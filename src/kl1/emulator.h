@@ -45,7 +45,11 @@ struct Kl1Config {
      * fault instead of a wedged worker (docs/ROBUSTNESS.md).
      */
     double timeoutSeconds = 0;
-    bool failOnDeadlock = true;     ///< Fatal when goals suspend forever.
+    /**
+     * Goals left suspended with no producer are SimFault(Program); when
+     * false, RunStats::deadlockedGoals counts them instead.
+     */
+    bool failOnDeadlock = true;
     /**
      * Stop-and-copy heap GC: each PE's heap segment becomes two
      * semispaces and a global collection runs when a segment's active
@@ -79,7 +83,9 @@ class Emulator : public TermReader
 
     /**
      * Run a query goal, e.g. "main(12,R)". Blocks until the program
-     * terminates (or deadlocks / exceeds maxSteps). Returns statistics.
+     * terminates; returns statistics. A program or configuration error,
+     * a deadlock or an exceeded bound is a SimFault, after which the
+     * Emulator can only be destroyed.
      */
     RunStats run(const std::string& query);
 

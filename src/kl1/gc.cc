@@ -1,6 +1,6 @@
 #include "kl1/gc.h"
 
-#include "common/log.h"
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 #include "kl1/emulator.h"
 
@@ -55,8 +55,9 @@ GcCollector::copyObject(Addr addr, std::uint32_t nwords)
 
     Segment& s = segments_[segmentOwner(addr)];
     if (s.toCursor + nwords > s.toEnd) {
-        PIM_FATAL("GC to-space exhausted on pe", segmentOwner(addr),
-                  "; increase LayoutConfig::heapWordsPerPe");
+        throw PIM_SIM_FAULT(SimFaultKind::Config,
+                            "GC to-space exhausted on pe", segmentOwner(addr),
+                            "; increase LayoutConfig::heapWordsPerPe");
     }
     const Addr dst = s.toCursor;
     s.toCursor += nwords;
@@ -269,9 +270,6 @@ GcCollector::collect()
     emu_.gcStats_.wordsCopied += copiedWords_;
     emu_.gcStats_.cellsCopied += copiedObjects_;
     emu_.gcStats_.wordsReclaimed += live_before - copiedWords_;
-    PIM_INFO("GC #" << emu_.gcStats_.collections << ": copied "
-                    << copiedWords_ << " words, reclaimed "
-                    << live_before - copiedWords_);
 }
 
 } // namespace pim::kl1

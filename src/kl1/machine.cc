@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 #include "kl1/emulator.h"
 
@@ -90,11 +91,12 @@ Addr
 Machine::heapAlloc(std::uint32_t nwords)
 {
     if (heapTop_ + nwords > heapEnd_) {
-        PIM_FATAL("pe", pe_, ": heap semispace exhausted; increase "
-                  "LayoutConfig::heapWordsPerPe",
-                  emu_.config().enableGc
-                      ? " (the last GC could not reclaim enough)"
-                      : " or set Kl1Config::enableGc");
+        throw PIM_SIM_FAULT(SimFaultKind::Config, "pe", pe_,
+                            ": heap semispace exhausted; increase "
+                            "LayoutConfig::heapWordsPerPe",
+                            emu_.config().enableGc
+                                ? " (the last GC could not reclaim enough)"
+                                : " or set Kl1Config::enableGc");
     }
     const Addr addr = heapTop_;
     heapTop_ += nwords;
@@ -123,8 +125,9 @@ Machine::goalRecAlloc(std::uint32_t arity)
 {
     const Addr rec = goalArea_.allocate(goalRecWords(arity));
     if (rec == kNoAddr) {
-        PIM_FATAL("pe", pe_, ": goal area exhausted; increase "
-                  "LayoutConfig::goalWordsPerPe");
+        throw PIM_SIM_FAULT(SimFaultKind::Config, "pe", pe_,
+                            ": goal area exhausted; increase "
+                            "LayoutConfig::goalWordsPerPe");
     }
     return rec;
 }
@@ -353,9 +356,10 @@ Machine::activeUnify(Word a, Word b)
         const Word va = da.value;
         const Word vb = db.value;
         auto failure = [&]() {
-            PIM_FATAL("pe", pe_, ": unification failure: ",
-                      emu_.format(va), " = ", emu_.format(vb),
-                      " (FGHC body unification must not fail)");
+            throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                                ": unification failure: ", emu_.format(va),
+                                " = ", emu_.format(vb),
+                                " (FGHC body unification must not fail)");
         };
         if (tagOf(va) != tagOf(vb))
             failure();
@@ -812,8 +816,9 @@ Machine::processMicroOp()
         if (isUnboundAt(current, var) || tagOf(current) == Tag::Hook) {
             const Addr srec = suspArea_.allocate(3);
             if (srec == kNoAddr) {
-                PIM_FATAL("pe", pe_, ": suspension area exhausted; "
-                          "increase LayoutConfig::suspWordsPerPe");
+                throw PIM_SIM_FAULT(SimFaultKind::Config, "pe", pe_,
+                                    ": suspension area exhausted; increase "
+                                    "LayoutConfig::suspWordsPerPe");
             }
             const Addr next =
                 tagOf(current) == Tag::Hook ? ptrOf(current) : 0;
@@ -1270,9 +1275,11 @@ Machine::doArith(const Instr& ins, bool has_imm)
     if (stalled_)
         return;
     if (dl.unbound() || tagOf(dl.value) != Tag::Int) {
-        PIM_FATAL("pe", pe_, ": arithmetic on a non-integer operand (",
-                  emu_.format(regs_[ins.b]),
-                  "); KL1 body arithmetic requires bound integers");
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": arithmetic on a non-integer operand (",
+                            emu_.format(regs_[ins.b]),
+                            "); KL1 body arithmetic requires bound "
+                            "integers");
     }
     std::int64_t rhs = ins.imm;
     if (!has_imm) {
@@ -1280,9 +1287,9 @@ Machine::doArith(const Instr& ins, bool has_imm)
         if (stalled_)
             return;
         if (dr.unbound() || tagOf(dr.value) != Tag::Int) {
-            PIM_FATAL("pe", pe_,
-                      ": arithmetic on a non-integer operand (",
-                      emu_.format(regs_[ins.c]), ")");
+            throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                                ": arithmetic on a non-integer operand (",
+                                emu_.format(regs_[ins.c]), ")");
         }
         rhs = intOf(dr.value);
     }
@@ -1293,13 +1300,17 @@ Machine::doArith(const Instr& ins, bool has_imm)
       case ArithKind::Sub: result = lhs - rhs; break;
       case ArithKind::Mul: result = lhs * rhs; break;
       case ArithKind::Div:
-        if (rhs == 0)
-            PIM_FATAL("pe", pe_, ": division by zero");
+        if (rhs == 0) {
+            throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                                ": division by zero");
+        }
         result = lhs / rhs;
         break;
       case ArithKind::Mod:
-        if (rhs == 0)
-            PIM_FATAL("pe", pe_, ": mod by zero");
+        if (rhs == 0) {
+            throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                                ": mod by zero");
+        }
         result = lhs % rhs;
         break;
     }
@@ -1315,16 +1326,18 @@ Machine::vecOperands(const Instr& ins, Addr& base, std::int64_t& size,
     if (stalled_)
         return false;
     if (vec.unbound() || tagOf(vec.value) != Tag::Vec) {
-        PIM_FATAL("pe", pe_, ": vector builtin applied to ",
-                  emu_.format(regs_[ins.a]),
-                  " (synchronize with a guard before the call)");
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": vector builtin applied to ",
+                            emu_.format(regs_[ins.a]),
+                            " (synchronize with a guard before the call)");
     }
     const Deref idx = deref(regs_[ins.b]);
     if (stalled_)
         return false;
     if (idx.unbound() || tagOf(idx.value) != Tag::Int) {
-        PIM_FATAL("pe", pe_, ": vector index is not a bound integer: ",
-                  emu_.format(regs_[ins.b]));
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": vector index is not a bound integer: ",
+                            emu_.format(regs_[ins.b]));
     }
     base = ptrOf(vec.value);
     const Word header = mem(MemOp::R, base, Area::Heap);
@@ -1333,8 +1346,9 @@ Machine::vecOperands(const Instr& ins, Addr& base, std::int64_t& size,
     size = intOf(header);
     index = intOf(idx.value);
     if (index < 0 || index >= size) {
-        PIM_FATAL("pe", pe_, ": vector index ", index,
-                  " out of range [0, ", size, ")");
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": vector index ", index, " out of range [0, ",
+                            size, ")");
     }
     return true;
 }
@@ -1348,8 +1362,9 @@ Machine::doVecNew(const Instr& ins)
     if (size_arg.unbound() || tagOf(size_arg.value) != Tag::Int ||
         intOf(size_arg.value) < 0 ||
         intOf(size_arg.value) > (1 << 22)) {
-        PIM_FATAL("pe", pe_, ": new_vector size must be a small bound "
-                  "integer, got ", emu_.format(regs_[ins.a]));
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": new_vector size must be a small bound "
+                            "integer, got ", emu_.format(regs_[ins.a]));
     }
     const std::uint32_t size =
         static_cast<std::uint32_t>(intOf(size_arg.value));
@@ -1487,10 +1502,12 @@ void
 Machine::doSuspendOrFail()
 {
     if (suspendCands_.empty()) {
-        PIM_FATAL("pe", pe_, ": goal failed: ",
-                  emu_.module().procs[curProc_].name, "/",
-                  emu_.module().procs[curProc_].arity,
-                  " — no clause commits and no clause can suspend");
+        throw PIM_SIM_FAULT(SimFaultKind::Program, "pe", pe_,
+                            ": goal failed: ",
+                            emu_.module().procs[curProc_].name, "/",
+                            emu_.module().procs[curProc_].arity,
+                            " — no clause commits and no clause can "
+                            "suspend");
     }
     const std::uint32_t nargs =
         static_cast<std::uint32_t>(curArgs_.size());

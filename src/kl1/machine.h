@@ -166,8 +166,8 @@ class Machine
     void doVecGet(const Instr& ins);
     void doVecSet(const Instr& ins, bool destructive);
 
-    /** Deref a register to a bound vector + integer index; fatal with a
-     *  clear message otherwise. Returns false when stalled. */
+    /** Deref a register to a bound vector + integer index;
+     *  SimFault(Program) otherwise. Returns false when stalled. */
     bool vecOperands(const Instr& ins, Addr& base, std::int64_t& size,
                      std::int64_t& index);
 

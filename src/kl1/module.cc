@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim::kl1 {
@@ -66,7 +67,7 @@ Module::procId(const std::string& name, std::uint32_t arity) const
     const std::string key = name + "/" + std::to_string(arity);
     const auto it = procIndex.find(key);
     if (it == procIndex.end())
-        PIM_FATAL("undefined procedure ", key);
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "undefined procedure ", key);
     return it->second;
 }
 

@@ -45,7 +45,7 @@ class Module
     /** Total code size in instruction-area words. */
     std::uint32_t totalWords() const { return totalWords_; }
 
-    /** Look up a procedure id; fatal when undefined. */
+    /** Look up a procedure id; SimFault(Parse) when undefined. */
     std::uint32_t procId(const std::string& name,
                          std::uint32_t arity) const;
 

@@ -2,15 +2,16 @@
 
 #include <vector>
 
-#include "common/xassert.h"
+#include "common/sim_fault.h"
 
 namespace pim {
 
 void
 RefSource::onStall()
 {
-    PIM_PANIC("ref source: every unfinished PE is parked on a lock "
-              "(workload deadlock)");
+    throw PIM_SIM_FAULT(SimFaultKind::Deadlock,
+                        "ref source: every unfinished PE is parked on a "
+                        "lock");
 }
 
 std::uint64_t

@@ -53,8 +53,8 @@ class RefSource
 
     /**
      * Every unfinished PE is parked on a lock: the workload deadlocked.
-     * The default panics; harnesses with a lock watchdog override this
-     * to report the stall (and throw their own diagnosis).
+     * The default throws SimFault(Deadlock); harnesses with a lock
+     * watchdog override this to throw their own diagnosis.
      */
     virtual void onStall();
 };

@@ -200,7 +200,7 @@ std::string
 StressConfig::replayLine() const
 {
     std::ostringstream out;
-    out << "pim_stress --replay"
+    out << "pim_stress"
         << " --seed=" << seed
         << " --pes=" << numPes
         << " --geometry=" << geometryString()
@@ -224,6 +224,17 @@ runStress(const StressConfig& config)
 {
     StressResult result;
 
+    // The machine is validated before the address map divides by its
+    // block size; the System validates it again with its memory sized.
+    SystemConfig sys_config;
+    sys_config.numPes = config.numPes;
+    sys_config.cache.geometry.blockWords = config.blockWords;
+    sys_config.cache.geometry.ways = config.ways;
+    sys_config.cache.geometry.sets = config.sets;
+    sys_config.cluster.clusterSize = config.clusterSize;
+    sys_config.cluster.hopCycles = config.hopCycles;
+    sys_config.validate();
+
     // Address map (word addresses): [0, span) shared read/write region;
     // [lockBase, lockBase+lockWords) contended lock words; [recBase, ...)
     // bump-allocated single-use records for the DW -> ER/RP flow.
@@ -235,17 +246,8 @@ runStress(const StressConfig& config)
         std::max<std::uint32_t>(1, config.numPes / 2);
     const Addr rec_base = (lock_base + lock_words + block - 1) / block * block;
     const std::uint64_t max_records = config.steps + 1;
-
-    SystemConfig sys_config;
-    sys_config.numPes = config.numPes;
-    sys_config.cache.geometry.blockWords = config.blockWords;
-    sys_config.cache.geometry.ways = config.ways;
-    sys_config.cache.geometry.sets = config.sets;
     sys_config.memoryWords =
         (rec_base + (max_records + 1) * block + block - 1) / block * block;
-    sys_config.cluster.clusterSize = config.clusterSize;
-    sys_config.cluster.hopCycles = config.hopCycles;
-    sys_config.validate();
 
     const FaultPlan plan = FaultPlan::parse(config.planSpec);
     FaultInjector injector(plan, config.seed);

@@ -8,7 +8,7 @@
  * attached. Every random decision comes from one seeded Rng drawn in
  * global simulation order, so a run is a pure function of its
  * StressConfig: any detected fault reproduces from the one-line replay
- * (`pim_stress --replay --seed=S --plan=... --pes=N --geometry=BxWxS ...`)
+ * (`pim_stress --seed=S --plan=... --pes=N --geometry=BxWxS ...`)
  * the harness prints on failure.
  */
 

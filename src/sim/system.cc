@@ -57,6 +57,9 @@ SystemConfig::validate() const
                             geom.sets, ")");
     if (geom.ways < 1)
         throw PIM_SIM_FAULT(SimFaultKind::Config, "cache ways must be >= 1");
+    if (timing.widthWords < 1)
+        throw PIM_SIM_FAULT(SimFaultKind::Config,
+                            "bus widthWords must be >= 1");
     if (cache.lockEntries < 1)
         throw PIM_SIM_FAULT(SimFaultKind::Config,
                             "lockEntries must be >= 1; the KL1 engine "

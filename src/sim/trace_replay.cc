@@ -1,5 +1,6 @@
 #include "sim/trace_replay.h"
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim {
@@ -37,9 +38,12 @@ TraceReplay::run()
             }
         }
         if (pick == kNoPe) {
-            PIM_FATAL("trace replay deadlock: every PE with pending "
-                      "references is busy-waiting on a lock that is never "
-                      "released");
+            // The replay ends here; nothing will retry the waits.
+            system_.abandonParkedWaiters();
+            throw PIM_SIM_FAULT(SimFaultKind::Deadlock,
+                                "trace replay: every PE with pending "
+                                "references is busy-waiting on a lock that "
+                                "is never released");
         }
 
         const MemRef& ref = trace_[pick_index];

@@ -219,8 +219,9 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
 }
 
 /**
- * checkSpec for one point of @p experiment. An unknown benchmark must
- * be refused here: benchmarkByName would end the process from a worker.
+ * checkSpec for one point of @p experiment. An unknown benchmark is
+ * refused here, before any task runs: a misspelt name is a wrong spec,
+ * not one failed row per point.
  */
 void
 checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
@@ -235,6 +236,13 @@ checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
                                 experiment.id, "': ",
                                 taskKindName(experiment.kind),
                                 " points have no parameter '", name, "'");
+        }
+        // Every number a task reads is a size, count or seed, cast to
+        // an unsigned type: a negative one would wrap.
+        if (value.isNumber && value.number < 0) {
+            throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
+                                experiment.id, "': parameter '", name,
+                                "' must be >= 0");
         }
     }
     if (!kl1)

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/sim_fault.h"
 #include "common/xassert.h"
 
 namespace pim {
@@ -26,8 +27,10 @@ static_assert(sizeof(Record) == 12);
 TraceWriter::TraceWriter(const std::string& path, std::uint32_t num_pes)
     : file_(std::fopen(path.c_str(), "wb"))
 {
-    if (file_ == nullptr)
-        PIM_FATAL("cannot open trace file for writing: ", path);
+    if (file_ == nullptr) {
+        throw PIM_SIM_FAULT(SimFaultKind::Config,
+                            "cannot open trace file for writing: ", path);
+    }
     std::fwrite(kMagic, 1, sizeof(kMagic), file_);
     std::fwrite(&kVersion, sizeof(kVersion), 1, file_);
     std::fwrite(&num_pes, sizeof(num_pes), 1, file_);
@@ -62,19 +65,25 @@ TraceReader::TraceReader(const std::string& path)
     : file_(std::fopen(path.c_str(), "rb")), path_(path)
 {
     if (file_ == nullptr)
-        PIM_FATAL("cannot open trace file: ", path);
+        throw PIM_SIM_FAULT(SimFaultKind::Config,
+                            "cannot open trace file: ", path);
+    // The destructor does not run for a constructor that throws.
+    const auto malformed = [&](const char* what) {
+        std::fclose(file_);
+        return PIM_SIM_FAULT(SimFaultKind::Parse, what, path);
+    };
     char magic[8];
     std::uint32_t version = 0;
     if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic) ||
         std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-        PIM_FATAL("not a PIMTRACE file: ", path);
+        throw malformed("not a PIMTRACE file: ");
     }
     if (std::fread(&version, sizeof(version), 1, file_) != 1 ||
         version != kVersion) {
-        PIM_FATAL("unsupported PIMTRACE version in ", path);
+        throw malformed("unsupported PIMTRACE version in ");
     }
     if (std::fread(&numPes_, sizeof(numPes_), 1, file_) != 1)
-        PIM_FATAL("truncated PIMTRACE header in ", path);
+        throw malformed("truncated PIMTRACE header in ");
 }
 
 TraceReader::~TraceReader()
@@ -92,10 +101,10 @@ TraceReader::next(MemRef& ref)
     // The fields index per-op, per-area and per-PE tables downstream.
     if (rec.op >= kNumMemOps || rec.area >= kNumAreaSlots ||
         rec.pe >= numPes_) {
-        PIM_FATAL("PIMTRACE record ", records_, " in ", path_,
-                  " is out of range: op ", unsigned(rec.op), ", area ",
-                  unsigned(rec.area), ", pe ", rec.pe, " (", numPes_,
-                  " PEs)");
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "PIMTRACE record ", records_,
+                            " in ", path_, " is out of range: op ",
+                            unsigned(rec.op), ", area ", unsigned(rec.area),
+                            ", pe ", rec.pe, " (", numPes_, " PEs)");
     }
     ++records_;
     ref.addr = rec.addr;

@@ -22,7 +22,7 @@ namespace pim {
 class TraceWriter
 {
   public:
-    /** Open @p path for writing; fatal on failure. */
+    /** Open @p path for writing; SimFault(Config) on failure. */
     TraceWriter(const std::string& path, std::uint32_t num_pes);
     ~TraceWriter();
 
@@ -46,7 +46,10 @@ class TraceWriter
 class TraceReader
 {
   public:
-    /** Open @p path; fatal on failure or bad magic. */
+    /**
+     * Open @p path; SimFault(Config) if it cannot be opened,
+     * SimFault(Parse) on a malformed header.
+     */
     explicit TraceReader(const std::string& path);
     ~TraceReader();
 
@@ -54,7 +57,8 @@ class TraceReader
     TraceReader& operator=(const TraceReader&) = delete;
 
     /**
-     * Read the next record; fatal if its op, area or PE is out of range.
+     * Read the next record; SimFault(Parse) if its op, area or PE is out
+     * of range.
      * @return false at end of file.
      */
     bool next(MemRef& ref);

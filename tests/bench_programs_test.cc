@@ -9,6 +9,7 @@
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
+#include "fault_test_util.h"
 #include "kl1/compiler.h"
 #include "kl1/parser.h"
 #include "verify/coherence_auditor.h"
@@ -43,8 +44,8 @@ TEST(BenchPrograms, AllFourHaveDistinctSources)
 TEST(BenchPrograms, ByNameLookup)
 {
     EXPECT_EQ(benchmarkByName("Semi").name, "Semi");
-    EXPECT_EXIT(benchmarkByName("Nope"), ::testing::ExitedWithCode(1),
-                "unknown benchmark");
+    EXPECT_SIM_FAULT(benchmarkByName("Nope"), SimFaultKind::Config,
+                     "unknown benchmark");
 }
 
 TEST(BenchPrograms, TriMatchesMirrorAtSmallScale)

@@ -123,12 +123,12 @@ const Flag kTestFlags[] = {
     {"seeds", Flag::Count},
 };
 
-/** Parse all of @p argv against kTestFlags. */
+/** Parse all of @p argv against kTestFlags and up to two positionals. */
 template <std::size_t N>
 std::optional<Options>
 parseTest(const char* const (&argv)[N])
 {
-    return Options::parse(static_cast<int>(N), argv, kTestFlags);
+    return Options::parse(static_cast<int>(N), argv, kTestFlags, 2);
 }
 
 TEST(Options, ParseForms)
@@ -206,6 +206,20 @@ TEST(Options, RefusesMalformedValues)
     EXPECT_FALSE(parseTest(before_flag).has_value());
     const char* const bool_value[] = {"prog", "--smoke=1"};
     EXPECT_FALSE(parseTest(bool_value).has_value());
+}
+
+TEST(Options, RefusesUndeclaredPositionals)
+{
+    // A binary that reads no positional refuses one: "smoke" meant
+    // --spec=smoke would otherwise run the default.
+    const char* const stray[] = {"prog", "smoke", "--smoke"};
+    EXPECT_FALSE(Options::parse(3, stray, kTestFlags).has_value());
+    // A valued flag's separate value is not a positional.
+    const char* const none[] = {"prog", "--pes", "1", "--smoke"};
+    EXPECT_TRUE(Options::parse(4, none, kTestFlags).has_value());
+    // One past the declared count is refused too.
+    const char* const third[] = {"prog", "a.fghc", "main(R).", "extra"};
+    EXPECT_FALSE(parseTest(third).has_value());
 }
 
 TEST(Options, RepeatedFlagKeepsEveryValue)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "fault_test_util.h"
 #include "kl1_test_util.h"
 
 namespace pim::kl1 {
@@ -92,8 +93,8 @@ TEST(EdgeCasesDeath, RegisterOverflowIsCompileError)
         body += std::string(i ? ", " : "") + "p(V" + std::to_string(i) +
                 ")";
     }
-    EXPECT_EXIT(run("p(_).\nmain :- true | " + body + ".\n", "main."),
-                ::testing::ExitedWithCode(1), "registers");
+    EXPECT_SIM_FAULT(run("p(_).\nmain :- true | " + body + ".\n", "main."),
+                     SimFaultKind::Parse, "registers");
 }
 
 TEST(EdgeCasesDeath, GoalAreaExhaustion)
@@ -101,14 +102,14 @@ TEST(EdgeCasesDeath, GoalAreaExhaustion)
     // Spawn far more simultaneous goals than the goal area can hold.
     Kl1Config config = smallConfig(1);
     config.layout.goalWordsPerPe = 256;
-    EXPECT_EXIT(run("spray(0, _) :- true | true.\n"
-                    "spray(N, U) :- N > 0 | N1 := N - 1, park(U),\n"
-                    "    spray(N1, U).\n"
-                    "park(U) :- wait(U) | true.\n"
-                    "main :- true | spray(500, U), hold(U).\n"
-                    "hold(_).\n",
-                    "main.", config),
-                ::testing::ExitedWithCode(1), "goal area exhausted");
+    EXPECT_SIM_FAULT(run("spray(0, _) :- true | true.\n"
+                         "spray(N, U) :- N > 0 | N1 := N - 1, park(U),\n"
+                         "    spray(N1, U).\n"
+                         "park(U) :- wait(U) | true.\n"
+                         "main :- true | spray(500, U), hold(U).\n"
+                         "hold(_).\n",
+                         "main.", config),
+                     SimFaultKind::Config, "goal area exhausted");
 }
 
 TEST(EdgeCasesDeath, SuspensionAreaExhaustion)
@@ -116,13 +117,12 @@ TEST(EdgeCasesDeath, SuspensionAreaExhaustion)
     Kl1Config config = smallConfig(1);
     config.layout.suspWordsPerPe = 4096; // 3-word records
     config.failOnDeadlock = false;
-    EXPECT_EXIT(run("hang(0) :- true | true.\n"
-                    "hang(N) :- N > 0 | N1 := N - 1, wait1(W),\n"
-                    "    hang(N1).\n"
-                    "wait1(W) :- wait(W) | true.\n",
-                    "hang(3000).", config),
-                ::testing::ExitedWithCode(1),
-                "suspension area exhausted");
+    EXPECT_SIM_FAULT(run("hang(0) :- true | true.\n"
+                         "hang(N) :- N > 0 | N1 := N - 1, wait1(W),\n"
+                         "    hang(N1).\n"
+                         "wait1(W) :- wait(W) | true.\n",
+                         "hang(3000).", config),
+                     SimFaultKind::Config, "suspension area exhausted");
 }
 
 TEST(EdgeCases, ManyProceduresCompileAndDispatch)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_test_util.h"
 #include "kl1_test_util.h"
 
 namespace pim::kl1 {
@@ -240,23 +241,48 @@ TEST(Kl1Exec, DeepStructureUnification)
 
 TEST(Kl1ExecDeath, FailureIsFatal)
 {
-    EXPECT_EXIT(run("p(1).\n", "p(2)."), ::testing::ExitedWithCode(1),
-                "goal failed");
+    EXPECT_SIM_FAULT(run("p(1).\n", "p(2)."), SimFaultKind::Program,
+                     "goal failed");
 }
 
 TEST(Kl1ExecDeath, UnificationFailureIsFatal)
 {
-    EXPECT_EXIT(run("main :- true | 1 = 2.\n", "main."),
-                ::testing::ExitedWithCode(1), "unification failure");
+    EXPECT_SIM_FAULT(run("main :- true | 1 = 2.\n", "main."),
+                     SimFaultKind::Program, "unification failure");
 }
 
 TEST(Kl1ExecDeath, DeadlockDetected)
 {
     // X is never produced: the goal suspends forever.
-    EXPECT_EXIT(run("main(R) :- true | echo(X, R).\n"
-                    "echo(X, R) :- wait(X) | R = X.\n",
-                    "main(R)."),
-                ::testing::ExitedWithCode(1), "deadlock");
+    EXPECT_SIM_FAULT(run("main(R) :- true | echo(X, R).\n"
+                         "echo(X, R) :- wait(X) | R = X.\n",
+                         "main(R)."),
+                     SimFaultKind::Program, "deadlock");
+}
+
+TEST(Kl1Exec, LockDeadlockIsAFaultThatUnparksThePes)
+{
+    // Park both PEs on each other's lock before the run. The run loop
+    // finds no PE to step and reports a Deadlock fault, which un-parks
+    // the waiters so the Emulator can be torn down afterwards.
+    Emulator emu(compileProgram(parseProgram("main :- true | true.\n")),
+                 smallConfig(2));
+    System& sys = emu.system();
+    const Addr a = emu.layout().segment(Area::Comm, 0).base;
+    const Addr b = emu.layout().segment(Area::Comm, 1).base;
+    sys.access(0, MemOp::LR, a, Area::Comm);
+    sys.access(1, MemOp::LR, b, Area::Comm);
+    ASSERT_TRUE(sys.access(0, MemOp::LR, b, Area::Comm).lockWait);
+    ASSERT_TRUE(sys.access(1, MemOp::LR, a, Area::Comm).lockWait);
+    EXPECT_SIM_FAULT(emu.run("main."), SimFaultKind::Deadlock,
+                     "busy-waiting on a lock");
+    EXPECT_TRUE(sys.pendingWaiters().empty());
+}
+
+TEST(Kl1Exec, DivisionByZeroIsAProgramFault)
+{
+    EXPECT_SIM_FAULT(run("main(R) :- true | R := 1 / 0.\n", "main(R)."),
+                     SimFaultKind::Program, "division by zero");
 }
 
 TEST(Kl1Exec, DeadlockToleratedWhenConfigured)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/sim_fault.h"
+#include "fault_test_util.h"
 #include "kl1/compiler.h"
 #include "kl1/lexer.h"
 #include "kl1/parser.h"
@@ -316,20 +317,20 @@ TEST(Compiler, WordOffsetsAccountForImmediates)
 
 TEST(CompilerDeath, UndefinedProcedure)
 {
-    EXPECT_EXIT(compile("p :- true | nosuch(1).\n"),
-                ::testing::ExitedWithCode(1), "undefined procedure");
+    EXPECT_SIM_FAULT(compile("p :- true | nosuch(1).\n"),
+                     SimFaultKind::Parse, "undefined procedure");
 }
 
 TEST(CompilerDeath, GuardMustBeBuiltin)
 {
-    EXPECT_EXIT(compile("p(X) :- myguard(X) | true.\n"),
-                ::testing::ExitedWithCode(1), "not a guard builtin");
+    EXPECT_SIM_FAULT(compile("p(X) :- myguard(X) | true.\n"),
+                     SimFaultKind::Parse, "not a guard builtin");
 }
 
 TEST(CompilerDeath, BodyComparisonRejected)
 {
-    EXPECT_EXIT(compile("p(X) :- true | X > 1.\n"),
-                ::testing::ExitedWithCode(1), "guard builtin used in a body");
+    EXPECT_SIM_FAULT(compile("p(X) :- true | X > 1.\n"),
+                     SimFaultKind::Parse, "guard builtin used in a body");
 }
 
 TEST(Compiler, Disassembly)

@@ -10,6 +10,7 @@
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
+#include "fault_test_util.h"
 #include "kl1_test_util.h"
 
 namespace pim::kl1 {
@@ -159,8 +160,8 @@ TEST(Kl1GcDeath, ExhaustionWithoutGcIsFatal)
     config.layout.heapWordsPerPe = 1 << 12;
     Module module = compileProgram(parseProgram(kChurnSrc));
     Emulator emu(std::move(module), config);
-    EXPECT_EXIT(emu.run("loop(400, 0, R)."),
-                ::testing::ExitedWithCode(1), "heap semispace exhausted");
+    EXPECT_SIM_FAULT(emu.run("loop(400, 0, R)."), SimFaultKind::Config,
+                     "heap semispace exhausted");
 }
 
 TEST(Kl1Gc, StatsAccumulateAcrossCollections)

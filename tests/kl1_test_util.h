@@ -43,7 +43,7 @@ smallConfig(std::uint32_t pes = 4)
     return config;
 }
 
-/** Compile @p source and run @p query; fatal on program errors. */
+/** Compile @p source and run @p query; a program error is a SimFault. */
 inline Outcome
 run(const std::string& source, const std::string& query,
     const Kl1Config& config = smallConfig())

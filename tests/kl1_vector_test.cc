@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_test_util.h"
 #include "kl1_test_util.h"
 
 namespace pim::kl1 {
@@ -144,18 +145,18 @@ TEST(Kl1Vector, SurvivesGc)
 
 TEST(Kl1VectorDeath, IndexOutOfRange)
 {
-    EXPECT_EXIT(run("main(R) :- true | new_vector(3, 0, V),\n"
-                    "    vector_element(V, 3, R).\n",
-                    "main(R)."),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_SIM_FAULT(run("main(R) :- true | new_vector(3, 0, V),\n"
+                         "    vector_element(V, 3, R).\n",
+                         "main(R)."),
+                     SimFaultKind::Program, "out of range");
 }
 
 TEST(Kl1VectorDeath, UnboundVectorArgument)
 {
-    EXPECT_EXIT(run("main(R) :- true | vector_element(V, 0, R), mk(V).\n"
-                    "mk(V) :- true | new_vector(2, 0, V).\n",
-                    "main(R)."),
-                ::testing::ExitedWithCode(1), "synchronize with a guard");
+    EXPECT_SIM_FAULT(run("main(R) :- true | vector_element(V, 0, R), mk(V).\n"
+                         "mk(V) :- true | new_vector(2, 0, V).\n",
+                         "main(R)."),
+                     SimFaultKind::Program, "synchronize with a guard");
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_test_util.h"
 #include "sim/system.h"
 
 namespace pim {
@@ -332,7 +333,7 @@ TEST(LockDirectoryUnitDeath, OverflowIsFatal)
 {
     LockDirectory dir(0, 1);
     dir.acquire(1);
-    EXPECT_EXIT(dir.acquire(2), ::testing::ExitedWithCode(1), "full");
+    EXPECT_SIM_FAULT(dir.acquire(2), SimFaultKind::Config, "is full");
 }
 
 TEST(LockDirectoryUnitDeath, DoubleLockPanics)

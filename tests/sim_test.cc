@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault_test_util.h"
 #include "sim/system.h"
 #include "sim/trace_replay.h"
 #include "trace/synth.h"
@@ -208,7 +209,9 @@ TEST(TraceReplayDeath, UnreleasedLockIsFatal)
     trace.push_back({100, MemOp::LR, Area::Heap, 0});
     trace.push_back({100, MemOp::R, Area::Heap, 1}); // waits forever
     TraceReplay replay(sys, trace);
-    EXPECT_EXIT(replay.run(), ::testing::ExitedWithCode(1), "deadlock");
+    EXPECT_SIM_FAULT(replay.run(), SimFaultKind::Deadlock, "never released");
+    // The replay un-parked pe1, so the System tears down cleanly.
+    EXPECT_TRUE(sys.pendingWaiters().empty());
 }
 
 TEST(TraceReplayDeath, BadPeIsFatal)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "fault_test_util.h"
 #include "sim/stress.h"
 
 namespace pim {
@@ -113,6 +114,15 @@ TEST(Stress, StuckLwaitIsDetectedAsLivelock)
     const StressResult again = runStress(config);
     EXPECT_EQ(again.kind, result.kind);
     EXPECT_EQ(again.message, result.message);
+}
+
+TEST(Stress, ImpossibleMachineIsAConfigFault)
+{
+    // A zero block size must be refused before the address map divides
+    // by it (pim_stress --geometry=0x2x64).
+    StressConfig config = quickConfig(1);
+    config.setGeometry("0x2x64");
+    EXPECT_SIM_FAULT(runStress(config), SimFaultKind::Config, "blockWords");
 }
 
 TEST(Stress, ForcedMissDroppingDirtyDataIsCaught)

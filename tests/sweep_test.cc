@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -277,6 +278,74 @@ TEST(SweepRunnerTest, FaultingTaskBecomesFailedRowWithoutPoolTeardown)
     EXPECT_EQ(row.at("fault_kind").asString(), "config");
 }
 
+TEST(SweepRunnerTest, OutgrownLockDirectoryIsOneFailedConfigRow)
+{
+    // Semi nests two locks, so a one-entry lock directory is a size the
+    // run outgrows, even on one PE. Only its own row may fail.
+    SweepSpec spec;
+    spec.name = "locks";
+    SweepExperiment good;
+    good.id = "good";
+    good.base.set("scale", ParamValue::ofNumber(1));
+    good.base.set("pes", ParamValue::ofNumber(4));
+    good.axes.push_back({"benchmark", {ParamValue::ofText("Tri"),
+                                       ParamValue::ofText("Puzzle")}});
+    spec.experiments.push_back(good);
+    SweepExperiment tight;
+    tight.id = "tight";
+    tight.base.set("benchmark", ParamValue::ofText("Semi"));
+    tight.base.set("scale", ParamValue::ofNumber(1));
+    tight.base.set("pes", ParamValue::ofNumber(1));
+    tight.base.set("lockEntries", ParamValue::ofNumber(1));
+    spec.experiments.push_back(tight);
+
+    SweepOptions options;
+    options.jobs = 3;
+    const SweepOutcome outcome = runSweep(spec, options);
+    ASSERT_EQ(outcome.rows.size(), 3u);
+    EXPECT_TRUE(outcome.complete);
+    EXPECT_EQ(outcome.failedRows, 1u);
+    EXPECT_FALSE(outcome.rows[0].failed);
+    EXPECT_FALSE(outcome.rows[1].failed);
+    EXPECT_TRUE(outcome.rows[2].failed);
+    EXPECT_EQ(outcome.rows[2].faultKind, "config");
+    EXPECT_NE(outcome.rows[2].message.find("lockEntries"), std::string::npos)
+        << outcome.rows[2].message;
+}
+
+TEST(SweepRunnerTest, ImpossibleMachinesAreFailedConfigRows)
+{
+    // Each point names a machine that cannot be built; each is one
+    // failed row, and the sweep itself completes.
+    const std::pair<const char*, double> points[] = {
+        {"capacityWords", 1000}, // not a multiple of 4-word blocks x 4 ways
+        {"pes", 0},
+        {"busWidthWords", 0},
+    };
+    SweepSpec spec;
+    spec.name = "impossible";
+    for (const auto& [param, value] : points) {
+        SweepExperiment exp;
+        exp.id = param;
+        exp.base.set("benchmark", ParamValue::ofText("Tri"));
+        exp.base.set("scale", ParamValue::ofNumber(1));
+        exp.base.set("pes", ParamValue::ofNumber(2));
+        exp.base.set(param, ParamValue::ofNumber(value));
+        spec.experiments.push_back(exp);
+    }
+
+    SweepOptions options;
+    options.jobs = 3;
+    const SweepOutcome outcome = runSweep(spec, options);
+    ASSERT_EQ(outcome.rows.size(), 3u);
+    EXPECT_TRUE(outcome.complete);
+    EXPECT_EQ(outcome.failedRows, 3u);
+    for (const SweepRow& row : outcome.rows) {
+        EXPECT_TRUE(row.failed) << row.params.toString();
+        EXPECT_EQ(row.faultKind, "config") << row.message;
+    }
+}
+
 /**
  * Run @p spec with a checkpoint directory and expect SimFault(Config)
  * naming @p what, thrown before any task ran (no checkpoint written).
@@ -327,9 +396,23 @@ TEST(SweepRunnerTest, UnreadParameterIsRejectedBeforeAnyTaskRuns)
     expectRejectedBeforeAnyTaskRuns(kl1, "'lockPct'");
 }
 
+TEST(SweepRunnerTest, NegativeNumberIsRejectedBeforeAnyTaskRuns)
+{
+    // Cast to the unsigned step count, -1 would wrap the stress record
+    // region and abort the whole sweep.
+    SweepSpec spec = miniSpec();
+    SweepExperiment negative;
+    negative.id = "negative";
+    negative.kind = TaskKind::Stress;
+    negative.seeds = 1;
+    negative.base.set("steps", ParamValue::ofNumber(-1));
+    spec.experiments.push_back(negative);
+    expectRejectedBeforeAnyTaskRuns(spec, "'steps' must be >= 0");
+}
+
 TEST(SweepRunnerTest, UnknownBenchmarkIsRejectedBeforeAnyTaskRuns)
 {
-    // Unchecked, the lookup would end the whole process from a worker.
+    // Unchecked, every point of the experiment would fail the same way.
     SweepSpec spec = miniSpec();
     SweepExperiment typo;
     typo.id = "typo";

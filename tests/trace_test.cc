@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <string>
 
+#include "fault_test_util.h"
 #include "sim/system.h"
 #include "sim/trace_replay.h"
 #include "trace/ref.h"
@@ -127,8 +128,8 @@ TEST(TraceFileDeath, BadMagicIsFatal)
     std::FILE* f = std::fopen(path.c_str(), "wb");
     std::fwrite("NOTATRACE123456", 1, 15, f);
     std::fclose(f);
-    EXPECT_EXIT(TraceReader reader(path), ::testing::ExitedWithCode(1),
-                "not a PIMTRACE");
+    EXPECT_SIM_FAULT(TraceReader reader(path), SimFaultKind::Parse,
+                     "not a PIMTRACE");
     std::remove(path.c_str());
 }
 
@@ -142,14 +143,15 @@ TEST(TraceFileDeath, OutOfRangeRecordIsFatal)
         writer.append({64, MemOp::R, Area::Heap, 1});
         writer.append({68, static_cast<MemOp>(200), Area::Heap, 0});
     }
-    EXPECT_EXIT(
+    EXPECT_SIM_FAULT(
         {
             TraceReader reader(path);
             MemRef ref;
             while (reader.next(ref)) {
             }
         },
-        ::testing::ExitedWithCode(1), "PIMTRACE record 1 .* out of range");
+        SimFaultKind::Parse,
+        "PIMTRACE record 1 in " + path + " is out of range: op 200");
     std::remove(path.c_str());
 }
 
