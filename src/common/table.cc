@@ -7,6 +7,19 @@
 
 namespace pim {
 
+namespace {
+
+/** Display columns of UTF-8 @p cell (one per code point, e.g. "—"). */
+std::size_t
+columns(const std::string& cell)
+{
+    return static_cast<std::size_t>(
+        std::count_if(cell.begin(), cell.end(),
+                      [](char c) { return (c & 0xC0) != 0x80; }));
+}
+
+} // namespace
+
 Table::Table(std::string title)
     : title_(std::move(title))
 {
@@ -44,7 +57,7 @@ Table::print(std::ostream& os) const
         if (!row.empty() && row.front() == kRuleMark)
             return;
         for (std::size_t i = 0; i < row.size() && i < ncols; ++i)
-            width[i] = std::max(width[i], row[i].size());
+            width[i] = std::max(width[i], columns(row[i]));
     };
     widen(header_);
     for (const auto& row : rows_)
@@ -55,10 +68,11 @@ Table::print(std::ostream& os) const
             const std::string& cell = i < row.size() ? row[i] : "";
             os << "| ";
             // Left-align the first column (labels), right-align the rest.
+            const std::string pad(width[i] - columns(cell), ' ');
             if (i == 0) {
-                os << cell << std::string(width[i] - cell.size(), ' ');
+                os << cell << pad;
             } else {
-                os << std::string(width[i] - cell.size(), ' ') << cell;
+                os << pad << cell;
             }
             os << ' ';
         }

@@ -197,8 +197,14 @@ Emulator::run(const std::string& query)
     if (config_.timeoutSeconds > 0)
         sys_->setRunGuard(&guard);
 
-    // The run loop: always step the earliest non-parked PE.
+    // The run loop: always step the earliest non-parked PE, which the
+    // System's scheduler keeps at hand. Only a machine's own step changes
+    // what quiescent() reads (GC only reads it), so the count of busy
+    // machines is kept around each step instead of scanning them all.
     std::uint64_t steps = 0;
+    std::uint32_t busy = 0;
+    for (const auto& machine : machines_)
+        busy += !machine->quiescent();
     for (;;) {
         guard.poll();
         if (gcRequested_ && gcQuiescent()) {
@@ -208,16 +214,7 @@ Emulator::run(const std::string& query)
         // Quiescent: no runnable or in-flight work anywhere. Suspended
         // (floating) goals with no producer left are a program deadlock,
         // reported after the loop.
-        bool quiet = goalsInTransit_ == 0;
-        if (quiet) {
-            for (const auto& machine : machines_) {
-                if (!machine->quiescent()) {
-                    quiet = false;
-                    break;
-                }
-            }
-        }
-        if (quiet)
+        if (goalsInTransit_ == 0 && busy == 0)
             break;
 
         const PeId pe = sys_->earliestRunnable();
@@ -226,7 +223,10 @@ Emulator::run(const std::string& query)
                                 "every PE with work left is busy-waiting "
                                 "on a lock");
         }
-        machines_[pe]->step();
+        Machine& machine = *machines_[pe];
+        busy -= !machine.quiescent();
+        machine.step();
+        busy += !machine.quiescent();
         ++steps;
         if (config_.maxSteps != 0 && steps > config_.maxSteps) {
             // A recoverable, classified fault (not a process abort): the

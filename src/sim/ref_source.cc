@@ -20,40 +20,28 @@ runRefSource(System& system, RefSource& source)
     struct PeRun {
         SourceOp retry;        ///< Lock-rejected op awaiting its retry.
         bool hasRetry = false;
-        bool done = false;     ///< Stream ended.
     };
-    const PeId pes = system.numPes();
-    std::vector<PeRun> run(pes);
+    std::vector<PeRun> run(system.numPes());
+    std::uint32_t live = system.numPes(); // Streams not yet ended.
     std::uint64_t completed = 0;
 
-    for (;;) {
-        PeId best = kNoPe;
-        bool anyLeft = false;
-        for (PeId p = 0; p < pes; ++p) {
-            if (run[p].done)
-                continue;
-            anyLeft = true;
-            if (system.parked(p))
-                continue;
-            if (best == kNoPe || system.clock(p) < system.clock(best))
-                best = p;
-        }
-        if (!anyLeft)
-            break;
-        if (best == kNoPe) {
+    while (live > 0) {
+        const PeId pe = system.earliestRunnable();
+        if (pe == kNoPe) {
             source.onStall();
             continue;
         }
-        PeRun& r = run[best];
+        PeRun& r = run[pe];
         SourceOp op;
         if (r.hasRetry) {
             op = r.retry;
-        } else if (!source.next(best, &op)) {
-            r.done = true;
+        } else if (!source.next(pe, &op)) {
+            system.retire(pe);
+            --live;
             continue;
         }
         const System::Access acc =
-            system.access(best, op.op, op.addr, op.area, op.wdata);
+            system.access(pe, op.op, op.addr, op.area, op.wdata);
         if (acc.lockWait) {
             r.retry = op;
             r.hasRetry = true;
@@ -61,7 +49,7 @@ runRefSource(System& system, RefSource& source)
         }
         r.hasRetry = false;
         completed += 1;
-        source.complete(best, op, acc.data);
+        source.complete(pe, op, acc.data);
     }
     return completed;
 }

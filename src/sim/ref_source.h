@@ -5,12 +5,13 @@
  * A RefSource produces each PE's memory operations one at a time;
  * runRefSource feeds them to a System in global simulated-time order,
  * the paper's "cache simulators artificially synchronize at each
- * simulated bus request". Every step picks the unparked PE with the
- * smallest clock (the lowest PE on ties, like
- * System::earliestRunnable), and only then pulls that PE's next
- * operation, so a source drawing every decision from one shared RNG
- * draws in global simulation order and a run is a pure function of its
- * seed. pim_stress (runStress) drives its workload through it.
+ * simulated bus request". Every step takes System::earliestRunnable
+ * (the unparked PE with the smallest clock, the lowest PE on ties), and
+ * only then pulls that PE's next operation, so a source drawing every
+ * decision from one shared RNG draws in global simulation order and a
+ * run is a pure function of its seed. A PE whose stream ends is
+ * System::retire'd, so the scheduler never offers it again.
+ * pim_stress (runStress) drives its workload through it.
  */
 
 #ifndef PIMCACHE_SIM_REF_SOURCE_H_

@@ -19,6 +19,13 @@ namespace pim {
 
 namespace {
 
+/**
+ * Largest shared memory a stress run sizes: 2^34 words, a 32 MiB page
+ * table. The record area takes one block per step, so a --steps (or
+ * --span) past it is refused before anything is allocated.
+ */
+constexpr std::uint64_t kMaxMemoryWords = 1ull << 34;
+
 /** One PE's driver state. */
 struct PeState {
     std::deque<Addr> heldLocks; ///< Acquired lock words, oldest first.
@@ -238,16 +245,29 @@ runStress(const StressConfig& config)
     // Address map (word addresses): [0, span) shared read/write region;
     // [lockBase, lockBase+lockWords) contended lock words; [recBase, ...)
     // bump-allocated single-use records for the DW -> ER/RP flow.
+    // The span and the step count are bounded by the cap before they
+    // are summed, so no size below wraps.
     const std::uint64_t block = config.blockWords;
+    const auto refuse = [&] {
+        return PIM_SIM_FAULT(SimFaultKind::Config, "--steps=", config.steps,
+                             " --span=", config.spanWords,
+                             " need more shared memory than a stress "
+                             "run's cap of ", kMaxMemoryWords,
+                             " words (2^34)");
+    };
+    if (config.spanWords > kMaxMemoryWords ||
+        config.steps > kMaxMemoryWords / block)
+        throw refuse();
     const Addr span =
         std::max<Addr>(block, config.spanWords / block * block);
     const Addr lock_base = span;
     const std::uint32_t lock_words =
         std::max<std::uint32_t>(1, config.numPes / 2);
     const Addr rec_base = (lock_base + lock_words + block - 1) / block * block;
-    const std::uint64_t max_records = config.steps + 1;
-    sys_config.memoryWords =
-        (rec_base + (max_records + 1) * block + block - 1) / block * block;
+    // Room for steps + 1 records and one spare block.
+    sys_config.memoryWords = rec_base + (config.steps + 2) * block;
+    if (sys_config.memoryWords > kMaxMemoryWords)
+        throw refuse();
 
     const FaultPlan plan = FaultPlan::parse(config.planSpec);
     FaultInjector injector(plan, config.seed);

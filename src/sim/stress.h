@@ -31,7 +31,11 @@ struct StressConfig {
     std::uint32_t blockWords = 4; ///< Geometry "BxWxS": block words, ...
     std::uint32_t ways = 2;       ///< ... associativity, ...
     std::uint32_t sets = 64;      ///< ... sets.
-    std::uint64_t steps = 20000;  ///< References to complete.
+    /**
+     * References to complete. Each may allocate a record block, and a
+     * run whose memory would pass 2^34 words is refused (Config).
+     */
+    std::uint64_t steps = 20000;
     std::uint64_t spanWords = 4096; ///< Shared read/write region size.
     std::uint32_t writePct = 30; ///< Writes among plain references.
     std::uint32_t lockPct = 10;  ///< Lock-protocol share of references.

@@ -1,6 +1,7 @@
 #include "sim/system.h"
 
 #include <algorithm>
+#include <bit>
 #include <exception>
 
 #include "common/rng.h"
@@ -100,7 +101,10 @@ System::System(const SystemConfig& config)
       memory_(config.memoryWords),
       bus_(std::make_unique<Bus>(config_.timing, memory_, config_.cluster)),
       clock_(config.numPes, 0),
-      parkedOn_(config.numPes, kNoAddr)
+      parkedOn_(config.numPes, kNoAddr),
+      retired_(config.numPes, 0),
+      leaves_(std::bit_ceil(std::size_t{config.numPes})),
+      sched_(2 * leaves_, kOffKey)
 {
     caches_.reserve(config_.numPes);
     for (PeId pe = 0; pe < config_.numPes; ++pe) {
@@ -108,6 +112,8 @@ System::System(const SystemConfig& config)
             std::make_unique<PimCache>(pe, config_.cache, *bus_));
     }
     bus_->setUnlockListener(this);
+    for (PeId pe = 0; pe < config_.numPes; ++pe)
+        reschedule(pe);
 }
 
 System::~System()
@@ -131,6 +137,7 @@ System::access(PeId pe, MemOp op, Addr addr, Area area, Word wdata)
 {
     PIM_ASSERT(pe < config_.numPes);
     PIM_ASSERT(!parked(pe), "pe", pe, " stepped while busy-waiting");
+    PIM_ASSERT(retired_[pe] == 0, "pe", pe, " stepped after retiring");
 
     // Cooperative deadline: polled before any state changes, so a
     // Timeout fault never leaves a half-done access behind. The poll is
@@ -159,6 +166,7 @@ System::access(PeId pe, MemOp op, Addr addr, Area area, Word wdata)
     const PimCache::AccessResult result =
         caches_[pe]->access(ref, wdata, startedAt);
     clock_[pe] = result.doneAt;
+    reschedule(pe);
 
     // Close the operation before the observers run: an auditor throwing
     // SimFault out of afterAccess must not leave the event dangling.
@@ -202,6 +210,7 @@ void
 System::park(PeId pe, Addr block, Cycles when)
 {
     parkedOn_[pe] = block;
+    reschedule(pe);
     std::vector<PeId>& waiters = waitersByBlock_[block];
     waiters.insert(std::upper_bound(waiters.begin(), waiters.end(), pe),
                    pe);
@@ -214,6 +223,7 @@ System::wake(PeId pe, Addr block, Cycles at_least)
 {
     parkedOn_[pe] = kNoAddr;
     clock_[pe] = std::max(clock_[pe], at_least);
+    reschedule(pe);
     if (sink_ != nullptr)
         sink_->onWake(pe, block, clock_[pe]);
 }
@@ -254,9 +264,21 @@ System::pendingWaiters() const
 void
 System::abandonParkedWaiters()
 {
-    for (PeId pe = 0; pe < config_.numPes; ++pe)
-        parkedOn_[pe] = kNoAddr;
+    for (PeId pe = 0; pe < config_.numPes; ++pe) {
+        if (parkedOn_[pe] != kNoAddr) {
+            parkedOn_[pe] = kNoAddr;
+            reschedule(pe);
+        }
+    }
     waitersByBlock_.clear();
+}
+
+void
+System::retire(PeId pe)
+{
+    PIM_ASSERT(!parked(pe), "pe", pe, " retired while busy-waiting");
+    retired_[pe] = 1;
+    reschedule(pe);
 }
 
 std::vector<std::uint64_t>
@@ -281,19 +303,6 @@ System::protocolHash(Addr lo, Addr hi) const
     for (std::uint64_t v : protocolSnapshot(lo, hi))
         h = hashMix(h, v);
     return h;
-}
-
-PeId
-System::earliestRunnable() const
-{
-    PeId best = kNoPe;
-    for (PeId pe = 0; pe < config_.numPes; ++pe) {
-        if (parked(pe))
-            continue;
-        if (best == kNoPe || clock_[pe] < clock_[best])
-            best = pe;
-    }
-    return best;
 }
 
 Cycles

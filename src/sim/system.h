@@ -10,6 +10,13 @@
  * global time order — the paper's "cache simulators artificially
  * synchronize at each simulated bus request".
  *
+ * The System keeps that pick itself: a min tournament tree over the
+ * PEs, keyed clock << kPeBits | pe, replayed leaf to root wherever a
+ * PE's clock or runnability changes (access, park, wake, advanceClock,
+ * retire, abandonParkedWaiters). earliestRunnable() reads the root, so
+ * a drive loop picks its next PE in O(1) and pays O(log P) per update
+ * instead of scanning every PE per step (docs/PERFORMANCE.md).
+ *
  * Busy-wait locking: an access inhibited by a remote lock (LH) parks the
  * PE on the block; the UL broadcast wakes it and the driver retries the
  * operation (the bus is idle during the wait, as in the paper).
@@ -18,6 +25,8 @@
 #ifndef PIMCACHE_SIM_SYSTEM_H_
 #define PIMCACHE_SIM_SYSTEM_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -26,6 +35,7 @@
 #include "bus/bus.h"
 #include "cache/pim_cache.h"
 #include "common/deadline.h"
+#include "common/xassert.h"
 #include "mem/paged_store.h"
 #include "obs/event_sink.h"
 #include "sim/opt_policy.h"
@@ -140,10 +150,26 @@ class System : public UnlockListener
     advanceClock(PeId pe, Cycles by)
     {
         clock_[pe] += by;
+        reschedule(pe);
     }
 
-    /** The PE with the smallest clock among non-parked PEs (or kNoPe). */
-    PeId earliestRunnable() const;
+    /**
+     * The unparked, unretired PE with the smallest clock, the lowest PE
+     * on ties (kNoPe when there is none).
+     */
+    PeId
+    earliestRunnable() const
+    {
+        const std::uint64_t root = sched_[1];
+        return root == kOffKey ? kNoPe : static_cast<PeId>(root & kPeMask);
+    }
+
+    /**
+     * Take @p pe out of the schedule for good: its reference stream has
+     * ended, and earliestRunnable() never returns it again. Its clock
+     * still counts towards makespan(). @p pe must not be parked.
+     */
+    void retire(PeId pe);
 
     /** Largest local clock across PEs (the run's makespan). */
     Cycles makespan() const;
@@ -249,6 +275,33 @@ class System : public UnlockListener
     void onUnlockBroadcast(Addr word_addr, Cycles when) override;
 
   private:
+    /** Bits of a scheduler key holding the PE (the mask limit, 4096). */
+    static constexpr unsigned kPeBits = 12;
+    static constexpr std::uint64_t kPeMask = (1ull << kPeBits) - 1;
+    /** Leaf key of a parked or retired PE (and of unused leaves). */
+    static constexpr std::uint64_t kOffKey = ~0ull;
+    /** Clocks below this fit a key that stays below kOffKey. */
+    static constexpr Cycles kClockLimit = (1ull << (64 - kPeBits)) - 1;
+    static_assert(ResidencyFilter::kMaxMaskWords * 64 <= 1u << kPeBits);
+
+    /** Replay @p pe's leaf-to-root path after its clock or state changed. */
+    void
+    reschedule(PeId pe)
+    {
+        PIM_ASSERT(clock_[pe] < kClockLimit, "pe", pe, " clock ", clock_[pe],
+                   " overflows the scheduler key");
+        std::uint64_t key = parkedOn_[pe] != kNoAddr || retired_[pe] != 0
+                                ? kOffKey
+                                : clock_[pe] << kPeBits | pe;
+        std::size_t node = leaves_ + pe;
+        sched_[node] = key;
+        // key stays in a register: each level reads only the sibling.
+        for (; node > 1; node >>= 1) {
+            key = std::min(key, sched_[node ^ 1]);
+            sched_[node >> 1] = key;
+        }
+    }
+
     /** Park @p pe on @p block (updates the block -> waiters index). */
     void park(PeId pe, Addr block, Cycles when);
 
@@ -261,6 +314,15 @@ class System : public UnlockListener
     std::vector<std::unique_ptr<PimCache>> caches_;
     std::vector<Cycles> clock_;
     std::vector<Addr> parkedOn_; ///< Block a PE busy-waits on (kNoAddr).
+    std::vector<std::uint8_t> retired_; ///< Stream ended (retire()).
+    /**
+     * The PE scheduler: a min tournament tree over leaves_ leaves (the
+     * power of two >= numPes). sched_[leaves_ + pe] is pe's key and each
+     * inner node i the min of nodes 2i and 2i+1, so sched_[1] is the
+     * earliest runnable PE's key.
+     */
+    std::size_t leaves_;
+    std::vector<std::uint64_t> sched_;
     /**
      * Inverse of parkedOn_: block -> parked PEs in ascending id order,
      * so an UL broadcast wakes its waiters in O(waiters) instead of

@@ -355,8 +355,8 @@ SweepSpec::paperGrid()
     // DESIGN.md section 5: one experiment per paper table/figure, the
     // dedicated bench binaries remain the detail view (per-area and
     // per-operation splits). All kl1 experiments default to scale 1 so
-    // the full grid stays minutes, not hours; pim_sweep --scale scales
-    // every experiment up.
+    // the full grid runs in seconds; pim_sweep --scale scales every
+    // experiment up.
     SweepSpec spec;
     spec.name = "paper_grid";
     spec.seed = 1;
@@ -443,14 +443,14 @@ SweepSpec::clustersGrid()
     // batch so the auditor sees the wide multi-word masks, the single
     // bus measured up to its saturation point, and the clustered
     // topology (16 PEs per snooping bus, 2-cycle hops) from 128 to
-    // 1024 PEs. The single-bus branch deliberately stops at 128 PEs:
-    // the bus is already ~99% busy there, and past saturation the
-    // emulator's idle-PE poll traffic feeds back into the one global
-    // queue, so each further doubling multiplies *simulation* cost
-    // ~40x to measure a machine whose behavior is already known
-    // (every added PE just queues). The wide clustered points are
-    // minutes each — this grid is the experiment record, not the CI
-    // smoke.
+    // 1024 PEs. The single-bus branch deliberately stops at 128 PEs
+    // (as fig3_pes --clusters does): the bus is already ~99% busy
+    // there, and past saturation the emulator's idle-PE steal traffic
+    // feeds back into the one global queue, so Pascal at 256 PEs
+    // reaches the 4*10^9-step limit to measure a machine whose
+    // behavior is already known (every added PE just queues). The
+    // whole grid takes about 5 s at --jobs=4 on a 4-core container;
+    // the `cluster` ctest label runs it.
     SweepSpec spec;
     spec.name = "clusters";
     spec.seed = 1;

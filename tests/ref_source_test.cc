@@ -283,6 +283,26 @@ TEST(RefSource, StallHookFiresWhenEveryUnfinishedPeIsParked)
     system.abandonParkedWaiters();
 }
 
+TEST(RefSource, StallHookFiresWhenLivePesParkAfterOthersRetired)
+{
+    // PEs 0 and 1 end their streams at the smallest clocks, PE 0 still
+    // holding the lock; PEs 2 and 3 then park on it. The retired PEs
+    // are never offered again, so the loop stalls instead of pulling
+    // them twice.
+    const SourceOp lr{MemOp::LR, kLockBase, Area::Heap, 0};
+    const SourceOp read{MemOp::R, 0, Area::Heap, 0};
+    ScriptSource source({{lr}, {read}, {read, read, lr}, {read, lr}});
+    System system(mixConfig(4));
+    system.advanceClock(2, 100);
+    system.advanceClock(3, 100);
+    EXPECT_THROW(runRefSource(system, source), ScriptSource::Stalled);
+    EXPECT_EQ(source.stalls, 1);
+    EXPECT_EQ(std::count(source.pulls.begin(), source.pulls.end(), 0), 2);
+    EXPECT_EQ(std::count(source.pulls.begin(), source.pulls.end(), 1), 2);
+    EXPECT_EQ(system.pendingWaiters(), (std::vector<PeId>{2, 3}));
+    system.abandonParkedWaiters();
+}
+
 TEST(RefSource, LowestPeFirstAtEqualClocks)
 {
     System system(mixConfig(4));

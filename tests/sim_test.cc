@@ -1,11 +1,17 @@
 /**
  * @file
- * System-level tests: clock bookkeeping, optimization-policy demotion,
- * trace replay (order, parking, determinism), and aggregate statistics.
+ * System-level tests: clock bookkeeping, the PE scheduler against a
+ * brute-force scan, optimization-policy demotion, trace replay (order,
+ * parking, determinism), and aggregate statistics.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "fault/fault_injector.h"
 #include "fault_test_util.h"
 #include "sim/system.h"
 #include "sim/trace_replay.h"
@@ -87,6 +93,143 @@ TEST(System, EarliestRunnableSkipsParked)
     sys.access(0, MemOp::U, 100, Area::Heap, 0); // wake pe1
     sys.access(1, MemOp::R, 100, Area::Heap, 0); // retry completes
 }
+
+/**
+ * The reference for System::earliestRunnable: scan every PE for the
+ * smallest (clock, pe) among those neither parked nor retired.
+ */
+PeId
+scanEarliest(const System& sys, const std::vector<bool>& retired,
+             bool* tied)
+{
+    PeId best = kNoPe;
+    *tied = false;
+    for (PeId pe = 0; pe < sys.numPes(); ++pe) {
+        if (sys.parked(pe) || retired[pe])
+            continue;
+        if (best == kNoPe || sys.clock(pe) < sys.clock(best)) {
+            best = pe;
+            *tied = false;
+        } else if (sys.clock(pe) == sys.clock(best)) {
+            *tied = true;
+        }
+    }
+    return best;
+}
+
+class SchedulerDiff : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+/**
+ * Seeded random operations (accesses, clock advances onto other PEs'
+ * clocks, LR/U parks and wakes, spurious wakeups, abandoned waiters,
+ * retires), with earliestRunnable() checked against the scan after
+ * every one.
+ */
+TEST_P(SchedulerDiff, EarliestRunnableMatchesScan)
+{
+    const std::uint32_t pes = GetParam();
+    System sys(smallSystem(pes));
+    FaultInjector injector(FaultPlan::parse("spurious_wakeup:p=0.02"), pes);
+    sys.setFaultInjector(&injector);
+    Rng rng(pes);
+    std::vector<bool> retired(pes, false);
+    std::vector<Addr> held(pes, kNoAddr); // Lock word each PE holds.
+    const Addr locks[] = {512, 528};       // Lock words, one per block.
+    std::uint64_t parks = 0;
+    std::uint64_t ties = 0;
+    std::uint64_t abandons = 0;
+
+    auto check = [&](int step) {
+        bool tied = false;
+        ASSERT_EQ(sys.earliestRunnable(), scanEarliest(sys, retired, &tied))
+            << "after step " << step;
+        ties += tied;
+    };
+    auto runnable = [&] {
+        std::vector<PeId> out;
+        for (PeId pe = 0; pe < pes; ++pe) {
+            if (!sys.parked(pe) && !retired[pe])
+                out.push_back(pe);
+        }
+        return out;
+    };
+
+    check(-1);
+    for (int step = 0; step < 3000; ++step) {
+        const std::vector<PeId> ready = runnable();
+        const std::uint64_t roll = rng.below(100);
+        if (ready.empty() || roll < 2) {
+            // Every live PE parked (or a drive loop's error path).
+            abandons += !sys.pendingWaiters().empty();
+            sys.abandonParkedWaiters();
+        } else if (roll < 30) {
+            // Often onto another PE's clock, so ties are common.
+            const PeId pe = static_cast<PeId>(rng.below(pes));
+            const Cycles target = sys.clock(static_cast<PeId>(rng.below(pes)));
+            sys.advanceClock(pe, target > sys.clock(pe) && rng.chance(2, 3)
+                                     ? target - sys.clock(pe)
+                                     : rng.below(20));
+        } else if (roll < 31 && 2 * ready.size() > pes) {
+            // Retire a PE holding no lock, at most half of them here.
+            const PeId pe = ready[rng.below(ready.size())];
+            if (held[pe] == kNoAddr) {
+                sys.retire(pe);
+                retired[pe] = true;
+            }
+        } else {
+            const PeId pe = ready[rng.below(ready.size())];
+            MemOp op = rng.chance(1, 2) ? MemOp::R : MemOp::W;
+            Addr addr = rng.chance(1, 4) ? locks[rng.below(2)] + 1
+                                         : static_cast<Addr>(rng.below(256));
+            if (rng.chance(2, 5)) {
+                op = held[pe] != kNoAddr ? MemOp::U : MemOp::LR;
+                addr = held[pe] != kNoAddr ? held[pe] : locks[rng.below(2)];
+            }
+            const System::Access acc =
+                sys.access(pe, op, addr, Area::Heap, step);
+            if (acc.lockWait)
+                parks += 1;
+            else if (op == MemOp::LR)
+                held[pe] = addr;
+            else if (op == MemOp::U)
+                held[pe] = kNoAddr;
+        }
+        check(step);
+        if (HasFatalFailure())
+            return;
+    }
+
+    // Retire every PE still live; the last leaves no one to schedule.
+    sys.abandonParkedWaiters();
+    check(-2);
+    for (PeId pe = 0; pe < pes; ++pe) {
+        if (!retired[pe]) {
+            sys.retire(pe);
+            retired[pe] = true;
+            check(-3);
+        }
+    }
+    EXPECT_EQ(sys.earliestRunnable(), kNoPe);
+
+    // The run reached every state the tree must track.
+    if (pes >= 2) {
+        EXPECT_GT(ties, 0u);
+        EXPECT_GT(parks, 0u);
+        EXPECT_GT(injector.stats(FaultSite::SpuriousWakeup).fires, 0u);
+    }
+    if (pes >= 8) {
+        EXPECT_GT(abandons, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pes, SchedulerDiff,
+    ::testing::Values(1u, 2u, 3u, 8u, 64u, 65u, 128u, 1024u),
+    [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+        return "pes" + std::to_string(info.param);
+    });
 
 TEST(System, RefStatsCountCompletedOnly)
 {
