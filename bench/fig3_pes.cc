@@ -22,9 +22,9 @@
  *   --cluster-max-pes=N   largest PE count (default 128). The single
  *                         bus stops at 128 PEs (its cells read "—"
  *                         past that). With Pascal at scale 1 the whole
- *                         run takes about 1.4 s to 128 PEs, 2.5 s to
- *                         256, 5 s to 512 and 19 s to 1024 on a 4-core
- *                         Xeon container
+ *                         run takes about 0.9 s to 128 PEs, 1.2 s to
+ *                         256, 1.9 s to 512 and 7.8 s to 1024 on a
+ *                         4-core Xeon container
  */
 
 #include "bench_util.h"

@@ -14,7 +14,8 @@
  *   --illinois       use the copy-back-on-share baseline protocol
  *   --gc             enable stop-and-copy heap GC (semispace heaps)
  *   --heap W         heap words per PE (default 2^22)
- *   --report         print every standard report table
+ *   --report         print the emulator step counts and every standard
+ *                    report table
  *   --disasm         print the compiled KL1-B code and exit
  *   --trace FILE     record the memory-reference trace to FILE
  *
@@ -134,8 +135,13 @@ run(const Options& opts)
         writer->close();
     }
 
-    if (opts.has("report"))
+    if (opts.has("report")) {
+        std::printf("%s emulator steps, %s on an idle PE, %s pure spins\n",
+                    fmtCount(stats.steps).c_str(),
+                    fmtCount(stats.idleSteps).c_str(),
+                    fmtCount(stats.spins).c_str());
         std::fputs(reportAll(emu.system()).c_str(), stdout);
+    }
     return 0;
 }
 

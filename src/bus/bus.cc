@@ -45,19 +45,12 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
     // A remote cluster is routed while any of its PEs holds a copy or a
     // lock entry: the inter-cluster directory's sets, read off the
     // exact per-PE masks. The single bus has no remote cluster.
-    const std::uint32_t size = clusters_.config().clusterSize;
-    std::uint64_t remote = 0;
-    for (std::uint32_t cluster = 0; cluster < clusters_.numClusters();
-         ++cluster) {
-        const PeId lo = cluster * size;
-        if (cluster != route.local &&
-            ((snoops_copies &&
-              residency_.anyCopyInRange(block_addr, lo, lo + size)) ||
-             (checks_locks &&
-              residency_.anyLockInRange(block_addr, lo, lo + size))))
-            remote |= 1ull << cluster;
+    if (clusters_.numClusters() > 1) {
+        route.remote = residency_.holderClusters(
+                           block_addr, snoops_copies, checks_locks,
+                           clusters_.config().clusterSize) &
+                       ~(1ull << route.local);
     }
-    route.remote = remote;
     // One round trip covers every remote cluster consulted: the
     // crossbar multicasts the command and the routed buses snoop in
     // parallel, mirroring the paper's fixed snoop cost on one bus.
@@ -67,7 +60,7 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
     // heap/goal areas are private until stolen) pays no hops at all.
     // Only genuinely shared blocks cross, which is what lets clustered
     // topologies keep scaling where the single bus saturates.
-    route.hop = remote != 0 ? 2 * clusters_.hopCycles() : 0;
+    route.hop = route.remote != 0 ? 2 * clusters_.hopCycles() : 0;
     return route;
 }
 
@@ -318,19 +311,20 @@ void
 Bus::setPurgeMark(Addr block_addr, bool marked)
 {
     const std::size_t index = blockIndexOf(block_addr);
-    const std::size_t word = index >> 6;
-    if (word >= purgedDirty_.size()) {
+    const std::size_t page = index >> kMarkPageShift;
+    if (page >= purgeMarks_.size() || purgeMarks_[page] == nullptr) {
         if (!marked)
             return;
-        std::size_t size = purgedDirty_.empty() ? 64 : purgedDirty_.size();
-        while (size <= word)
-            size *= 2;
-        purgedDirty_.resize(size, 0);
+        if (page >= purgeMarks_.size())
+            purgeMarks_.resize(page + 1);
+        purgeMarks_[page] = std::make_unique<std::uint64_t[]>(kMarkPageWords);
     }
+    std::uint64_t& word =
+        purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)];
     if (marked)
-        purgedDirty_[word] |= 1ull << (index & 63);
+        word |= 1ull << (index & 63);
     else
-        purgedDirty_[word] &= ~(1ull << (index & 63));
+        word &= ~(1ull << (index & 63));
 }
 
 void
@@ -357,7 +351,7 @@ Bus::noteFreshAllocation(Addr block_addr)
 void
 Bus::clearPurgedMarks()
 {
-    purgedDirty_.assign(purgedDirty_.size(), 0);
+    purgeMarks_.clear();
 }
 
 Cycles
@@ -514,15 +508,22 @@ Bus::snapshotPurgeMarks(Addr lo, Addr hi,
     const std::uint32_t block = timing_.blockWords;
     std::size_t index = blockIndexOf(lo + block - 1); // First base >= lo.
     for (; index * block < hi; ++index) {
-        const std::size_t word = index >> 6;
-        if (word >= purgedDirty_.size())
+        const std::size_t page = index >> kMarkPageShift;
+        if (page >= purgeMarks_.size())
             break;
-        if (purgedDirty_[word] == 0) {
-            // Skip the rest of an empty 64-block run in one step.
-            index = (word + 1) * 64 - 1;
+        if (purgeMarks_[page] == nullptr) {
+            // Skip an absent page in one step.
+            index = ((page + 1) << kMarkPageShift) - 1;
             continue;
         }
-        if ((purgedDirty_[word] & (1ull << (index & 63))) != 0) {
+        const std::uint64_t word =
+            purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)];
+        if (word == 0) {
+            // Skip the rest of an empty 64-block run in one step.
+            index |= 63;
+            continue;
+        }
+        if ((word >> (index & 63) & 1) != 0) {
             out.push_back(static_cast<std::uint64_t>(index) * block);
             ++count;
         }

@@ -16,6 +16,7 @@
 #define PIMCACHE_BUS_BUS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "bus/cluster_bus.h"
@@ -196,6 +197,9 @@ struct UpdateResult {
 class Bus
 {
   public:
+    /** Blocks one page of the purge-mark bitmap covers (4096 words). */
+    static constexpr std::size_t kPurgeMarkPageBlocks = std::size_t{1} << 18;
+
     Bus(const BusTiming& timing, PagedStore& memory,
         const ClusterConfig& cluster = ClusterConfig{});
 
@@ -303,8 +307,10 @@ class Bus
     purgedDirtyMarked(Addr block_addr) const
     {
         const std::size_t index = blockIndexOf(block_addr);
-        return (index >> 6) < purgedDirty_.size() &&
-               (purgedDirty_[index >> 6] & (1ull << (index & 63))) != 0;
+        const std::size_t page = index >> kMarkPageShift;
+        return page < purgeMarks_.size() && purgeMarks_[page] != nullptr &&
+               (purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)] >>
+                    (index & 63) & 1) != 0;
     }
 
     /**
@@ -420,13 +426,22 @@ class Bus
     EventSink* sink_ = nullptr;
     BusStats stats_;
     std::uint32_t blockShift_ = 0; ///< log2(blockWords).
+    static constexpr unsigned kMarkPageShift = 18;
+    static constexpr std::size_t kMarkPageWords =
+        kPurgeMarkPageBlocks / 64;
+    static_assert(std::size_t{1} << kMarkPageShift == kPurgeMarkPageBlocks);
+
     /**
      * Bit per block number, set while the block's last dirty copy was
-     * purged without copy-back. Index-ordered, so snapshotPurgeMarks
+     * purged without copy-back, in pages of kMarkPageWords words that are
+     * allocated on the first mark they hold (the PagedStore idiom), so
+     * the bitmap costs memory for the marked stretches of the address
+     * space, not for its size. Index-ordered, so snapshotPurgeMarks
      * walks a range in address order without any per-call sort, and the
-     * per-fetch membership test is one load.
+     * per-fetch membership test is one shift, one page load and one
+     * indexed load.
      */
-    std::vector<std::uint64_t> purgedDirty_;
+    std::vector<std::unique_ptr<std::uint64_t[]>> purgeMarks_;
 };
 
 } // namespace pim

@@ -186,18 +186,43 @@ class ResidencyFilter
         return false;
     }
 
-    /** True if any PE in [@p lo, @p hi) holds a copy of @p block. */
-    bool
-    anyCopyInRange(Addr block, PeId lo, PeId hi) const
+    /**
+     * The clusters holding @p block, one bit per cluster of
+     * @p cluster_size PEs (PE p is in cluster p / cluster_size, and there
+     * are at most 64): those with a PE that holds a copy (when
+     * @p copies) or a lock entry on a word of the block (when @p locks).
+     * The bus routes a transaction to these clusters. One walk over the
+     * OR of the two masks: each holder adds its cluster and skips that
+     * cluster's other PEs in the word, so a word costs one step per
+     * cluster it holds, whatever the cluster size.
+     */
+    std::uint64_t
+    holderClusters(Addr block, bool copies, bool locks,
+                   std::uint32_t cluster_size) const
     {
-        return anyInRange(copies_, block, lo, hi);
-    }
-
-    /** True if any PE in [@p lo, @p hi) has lock residency in @p block. */
-    bool
-    anyLockInRange(Addr block, PeId lo, PeId hi) const
-    {
-        return anyInRange(locks_, block, lo, hi);
+        const std::size_t index = indexOf(block);
+        const std::uint64_t* copy =
+            copies ? entryIfPresent(copies_, index) : nullptr;
+        const std::uint64_t* lock =
+            locks ? entryIfPresent(locks_, index) : nullptr;
+        if (copy == nullptr && lock == nullptr)
+            return 0;
+        std::uint64_t clusters = 0;
+        for (std::uint32_t w = 0; w < maskWords_; ++w) {
+            std::uint64_t holders = (copy != nullptr ? copy[w] : 0) |
+                                    (lock != nullptr ? lock[w] : 0);
+            const PeId base = w << 6;
+            while (holders != 0) {
+                const PeId pe = base + __builtin_ctzll(holders);
+                const std::uint32_t cluster = pe / cluster_size;
+                clusters |= 1ull << cluster;
+                const PeId next = (cluster + 1) * cluster_size;
+                if (next - base >= 64)
+                    break;
+                holders &= ~0ull << (next - base);
+            }
+        }
+        return clusters;
     }
 
     /**
@@ -276,27 +301,6 @@ class ResidencyFilter
         if (words == nullptr)
             return PeBitset(maskWords_);
         return PeBitset::fromWords(words, maskWords_);
-    }
-
-    bool
-    anyInRange(const MaskStore& store, Addr block, PeId lo, PeId hi) const
-    {
-        const std::uint64_t* words = entryIfPresent(store, indexOf(block));
-        if (words == nullptr || lo >= hi)
-            return false;
-        const std::uint32_t lo_word = lo >> 6;
-        const std::uint32_t hi_word = (hi - 1) >> 6;
-        for (std::uint32_t w = lo_word;
-             w <= hi_word && w < maskWords_; ++w) {
-            std::uint64_t mask = words[w];
-            if (w == lo_word)
-                mask &= ~0ull << (lo & 63);
-            if (w == hi_word && (hi & 63) != 0)
-                mask &= (1ull << (hi & 63)) - 1;
-            if (mask != 0)
-                return true;
-        }
-        return false;
     }
 
     template <typename Fn>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <utility>
 
 #include "common/sim_fault.h"
 #include "common/xassert.h"
@@ -199,12 +200,36 @@ Emulator::run(const std::string& query)
 
     // The run loop: always step the earliest non-parked PE, which the
     // System's scheduler keeps at hand. Only a machine's own step changes
-    // what quiescent() reads (GC only reads it), so the count of busy
-    // machines is kept around each step instead of scanning them all.
+    // what quiescent() reads (GC only reads it), so each machine's busy
+    // bit is kept from its last step, quiescent() is asked once per step,
+    // and the count of busy machines needs no scan.
+    //
+    // An idle PE backing off jumps over its pure spins in one step
+    // (Machine::stepIdle). Its next pick stands for all of them; a PE
+    // still inside a jump at the end reached only the spins that come
+    // before the run's highest pick. The highest, not the last, so the
+    // count does not rest on picks being monotone (docs/PERFORMANCE.md
+    // "Idle spins").
     std::uint64_t steps = 0;
+    std::uint64_t idle_steps = 0;
+    const auto check_steps = [&] {
+        if (config_.maxSteps != 0 && steps > config_.maxSteps) {
+            // A recoverable, classified fault (not a process abort): the
+            // sweep runner records the point as failed and the grid
+            // keeps draining.
+            throw PIM_SIM_FAULT(SimFaultKind::Timeout,
+                                "emulation exceeded maxSteps (",
+                                config_.maxSteps,
+                                "); the program may not terminate");
+        }
+    };
+    std::vector<std::uint8_t> busy_bits(machines_.size());
     std::uint32_t busy = 0;
-    for (const auto& machine : machines_)
-        busy += !machine->quiescent();
+    for (PeId pe = 0; pe < config_.numPes; ++pe) {
+        busy_bits[pe] = !machines_[pe]->quiescent();
+        busy += busy_bits[pe];
+    }
+    std::pair<Cycles, PeId> highest_pick{0, 0};
     for (;;) {
         guard.poll();
         if (gcRequested_ && gcQuiescent()) {
@@ -223,29 +248,41 @@ Emulator::run(const std::string& query)
                                 "every PE with work left is busy-waiting "
                                 "on a lock");
         }
+        highest_pick = std::max(highest_pick, {sys_->clock(pe), pe});
         Machine& machine = *machines_[pe];
-        busy -= !machine.quiescent();
+        // The spins of this PE's last jump all came before this pick.
+        const std::uint32_t spins = machine.takeJumpedSpins();
+        steps += spins;
+        idle_steps += spins;
         machine.step();
-        busy += !machine.quiescent();
+        // Only this loop writes busy_bits: the PE's bit is its last step's.
+        const std::uint8_t was_busy = busy_bits[pe];
+        const std::uint8_t now_busy = !machine.quiescent();
+        busy_bits[pe] = now_busy;
+        busy += now_busy;
+        busy -= was_busy;
         ++steps;
-        if (config_.maxSteps != 0 && steps > config_.maxSteps) {
-            // A recoverable, classified fault (not a process abort): the
-            // sweep runner records the point as failed and the grid
-            // keeps draining.
-            throw PIM_SIM_FAULT(SimFaultKind::Timeout,
-                                "emulation exceeded maxSteps (",
-                                config_.maxSteps,
-                                "); the program may not terminate");
-        }
+        idle_steps += !was_busy;
+        check_steps();
     }
+    for (const auto& machine : machines_) {
+        const std::uint32_t spins = machine->rewindJumpedSpins(
+            highest_pick.first, highest_pick.second);
+        steps += spins;
+        idle_steps += spins;
+    }
+    check_steps();
 
     RunStats stats;
+    stats.steps = steps;
+    stats.idleSteps = idle_steps;
     for (const auto& machine : machines_) {
         stats.reductions += machine->stats().reductions;
         stats.suspensions += machine->stats().suspensions;
         stats.resumptions += machine->stats().resumptions;
         stats.instructions += machine->stats().instructions;
         stats.steals += machine->stats().steals;
+        stats.spins += machine->stats().spins;
     }
     stats.memoryRefs = sys_->refStats().total();
     stats.makespan = sys_->makespan();

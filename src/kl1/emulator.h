@@ -8,9 +8,11 @@
  * The run loop always steps the PE with the smallest local clock among
  * PEs that are not busy-waiting on a lock, so bus requests are served in
  * global time order. It reads that PE off the System's scheduler
- * (System::earliestRunnable, O(1)) and keeps a count of busy machines
- * around each Machine::step (the only place a machine's quiescence
- * changes), so a step costs no scan over the PEs.
+ * (System::earliestRunnable, O(1)) and keeps each machine's busy bit
+ * from its last Machine::step (the only place a machine's quiescence
+ * changes), so a step costs no scan over the PEs. An idle PE backing
+ * off takes its pure spins in one step; the loop counts them exactly
+ * (docs/PERFORMANCE.md "Idle spins").
  */
 
 #ifndef PIMCACHE_KL1_EMULATOR_H_
@@ -75,6 +77,12 @@ struct RunStats {
     Cycles makespan = 0;
     std::uint64_t deadlockedGoals = 0;
     GcStats gc;
+    /** Emulator steps (Machine::step calls, jumped spins included). */
+    std::uint64_t steps = 0;
+    /** Steps of a machine that was quiescent when it was picked. */
+    std::uint64_t idleSteps = 0;
+    /** Pure idle spins (MachineStats::spins summed over the PEs). */
+    std::uint64_t spins = 0;
 };
 
 /** The whole simulated machine: engines + caches + bus + memory. */

@@ -1,6 +1,7 @@
 #include "kl1/machine.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/sim_fault.h"
 #include "common/xassert.h"
@@ -593,8 +594,25 @@ Machine::stepIdle()
         return;
     }
     // Send a work request to the next victim (unless backing off).
-    if (emu_.sys_->clock(pe_) < nextRequestAt_) {
-        emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
+    const Cycles now = emu_.sys_->clock(pe_);
+    if (now < nextRequestAt_) {
+        // stepFetchWork bumped the gate this step: closed means no poll.
+        stats_.spins += (idlePollGate_ & 7) != 0;
+        // Backing off, this PE's next steps are pure spins until the gate
+        // opens or the backoff ends. They touch nothing but its clock and
+        // gate, and no other machine or GC can end them early, so take
+        // them with this one: the PE's clock lands on its next real
+        // step's, and every other pick is unchanged. The emulator counts
+        // them (takeJumpedSpins, rewindJumpedSpins; docs/PERFORMANCE.md
+        // "Idle spins").
+        std::uint32_t spins = 0;
+        while (((idlePollGate_ + spins + 1) & 7) != 0 &&
+               now + kIdleSpinCycles * (spins + 1) < nextRequestAt_)
+            ++spins;
+        idlePollGate_ += spins;
+        jumpBase_ = now;
+        jumpSpins_ = spins;
+        emu_.sys_->advanceClock(pe_, kIdleSpinCycles * (1 + spins));
         return;
     }
     const Addr victim_req =
@@ -612,6 +630,24 @@ Machine::stepIdle()
             nextVictim_ = (nextVictim_ + 1) % emu_.config().numPes;
     }
     emu_.sys_->advanceClock(pe_, kIdleSpinCycles);
+}
+
+std::uint32_t
+Machine::rewindJumpedSpins(Cycles highest_clock, PeId highest_pe)
+{
+    if (jumpSpins_ == 0)
+        return 0;
+    const std::pair<Cycles, PeId> highest{highest_clock, highest_pe};
+    std::uint32_t reached = 0;
+    while (reached < jumpSpins_ &&
+           std::pair{jumpBase_ + kIdleSpinCycles * (reached + 1), pe_} <
+               highest)
+        ++reached;
+    idlePollGate_ -= jumpSpins_ - reached;
+    emu_.sys_->rewindClock(pe_, jumpBase_ + kIdleSpinCycles * (1 + reached));
+    jumpSpins_ = 0;
+    stats_.spins += reached;
+    return reached;
 }
 
 bool

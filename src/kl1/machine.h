@@ -56,6 +56,12 @@ struct MachineStats {
     std::uint64_t resumptions = 0;
     std::uint64_t instructions = 0;
     std::uint64_t steals = 0;
+    /**
+     * Pure idle spins: steps of an idle machine with the poll gate
+     * closed, no steal outstanding and the clock below nextRequestAt_,
+     * which touch nothing but the PE's clock and gate.
+     */
+    std::uint64_t spins = 0;
 };
 
 /** One PE's reduction engine. */
@@ -77,6 +83,30 @@ class Machine
 
     /** True when this PE has no work at all (for termination detection). */
     bool quiescent() const;
+
+    /**
+     * The pure spins the last backoff step jumped over, now that the PE
+     * is picked again: the run reached every one of them before this
+     * pick. Counts them in stats().spins and returns how many.
+     */
+    std::uint32_t
+    takeJumpedSpins()
+    {
+        const std::uint32_t spins = jumpSpins_;
+        jumpSpins_ = 0;
+        stats_.spins += spins;
+        return spins;
+    }
+
+    /**
+     * End of a run with this PE still inside a jump: the run reached only
+     * the jumped spins whose pick, (clock, PE) in the scheduler's order,
+     * comes before the run's highest pick (@p highest_clock, @p highest_pe).
+     * Moves the PE's clock and poll gate back to where the last reached
+     * spin left them, counts the reached ones in stats().spins and
+     * returns how many.
+     */
+    std::uint32_t rewindJumpedSpins(Cycles highest_clock, PeId highest_pe);
 
     const MachineStats& stats() const { return stats_; }
     PeId pe() const { return pe_; }
@@ -257,6 +287,10 @@ class Machine
     Cycles nextRequestAt_ = 0;
     Cycles stealBackoff_ = 64;
     std::uint32_t idlePollGate_ = 0;
+    /** The last backoff step's clock and the pure spins it jumped over
+     *  (0 once takeJumpedSpins or rewindJumpedSpins counted them). */
+    Cycles jumpBase_ = 0;
+    std::uint32_t jumpSpins_ = 0;
     // In-progress goal-record read (local dequeue or remote steal).
     Addr fetchRec_ = kNoAddr;
     PeId fetchOwner_ = 0;

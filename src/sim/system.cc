@@ -281,6 +281,14 @@ System::retire(PeId pe)
     reschedule(pe);
 }
 
+void
+System::rewindClock(PeId pe, Cycles to)
+{
+    PIM_ASSERT(to <= clock_[pe], "pe", pe, " rewound forward to ", to);
+    clock_[pe] = to;
+    reschedule(pe);
+}
+
 std::vector<std::uint64_t>
 System::protocolSnapshot(Addr lo, Addr hi) const
 {

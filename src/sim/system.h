@@ -154,6 +154,15 @@ class System : public UnlockListener
     }
 
     /**
+     * Move @p pe's clock back to @p to (the KL1 emulator, when its run
+     * ends before a fast-forwarded idle PE's jump; docs/PERFORMANCE.md
+     * "Idle spins"). Nothing else changes. Out of line: it runs once per
+     * PE per run, and an inline copy of the tree replay in the machine's
+     * translation unit costs the hot path there its inlining.
+     */
+    void rewindClock(PeId pe, Cycles to);
+
+    /**
      * The unparked, unretired PE with the smallest clock, the lowest PE
      * on ties (kNoPe when there is none).
      */

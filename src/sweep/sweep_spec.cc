@@ -449,7 +449,7 @@ SweepSpec::clustersGrid()
     // feeds back into the one global queue, so Pascal at 256 PEs
     // reaches the 4*10^9-step limit to measure a machine whose
     // behavior is already known (every added PE just queues). The
-    // whole grid takes about 5 s at --jobs=4 on a 4-core container;
+    // whole grid takes about 2 s at --jobs=4 on a 4-core container;
     // the `cluster` ctest label runs it.
     SweepSpec spec;
     spec.name = "clusters";

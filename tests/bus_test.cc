@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bus/bus.h"
 #include "bus/timing.h"
 #include "mem/paged_store.h"
@@ -141,6 +143,53 @@ TEST_F(BusFixture, FreshAllocationClearsPurgeMark)
     bus_.noteFreshAllocation(100);
     bus_.fetch(0, 100, false, false, 0, false, buffer_, 0, Area::Goal);
     EXPECT_EQ(bus_.stats().staleFetches, 0u);
+}
+
+TEST(BusPurgeMarks, PagedPastTwoToThe33WordsAndAcrossAPageEdge)
+{
+    // The marks are paged by block number; a mark needs no memory behind
+    // it, so a tiny store serves an address far past its end.
+    PagedStore memory(64);
+    Bus bus(BusTiming{}, memory);
+    const Addr block = BusTiming{}.blockWords;
+    const Addr page_words = Bus::kPurgeMarkPageBlocks * block;
+    const Addr edge = (Addr{1} << 33) + 3 * page_words;
+    const Addr last_of_page = edge - block;
+    const Addr next_run = edge + 64 * block;
+    for (const Addr addr : {last_of_page, edge, next_run})
+        bus.markPurgedDirty(addr);
+    for (const Addr addr : {last_of_page, edge, next_run})
+        EXPECT_TRUE(bus.purgedDirtyMarked(addr)) << addr;
+    for (const Addr addr : {Addr{0}, edge - 2 * block, edge + block,
+                            edge - page_words, edge + 7 * page_words})
+        EXPECT_FALSE(bus.purgedDirtyMarked(addr)) << addr;
+
+    // Address order across the edge; a range boundary inside a block
+    // starts at the next block base.
+    const auto snapshot = [&](Addr lo, Addr hi) {
+        std::vector<std::uint64_t> out;
+        bus.snapshotPurgeMarks(lo, hi, out);
+        return out;
+    };
+    using Marks = std::vector<std::uint64_t>;
+    EXPECT_EQ(snapshot(0, Addr{1} << 40),
+              (Marks{3, last_of_page, edge, next_run}));
+    EXPECT_EQ(snapshot(last_of_page + 1, next_run), (Marks{1, edge}));
+    EXPECT_EQ(snapshot(0, edge - page_words), (Marks{0}));
+
+    // Clearing one mark leaves its page's others.
+    bus.noteFreshAllocation(edge);
+    EXPECT_FALSE(bus.purgedDirtyMarked(edge));
+    EXPECT_TRUE(bus.purgedDirtyMarked(next_run));
+    EXPECT_EQ(snapshot(0, Addr{1} << 40),
+              (Marks{2, last_of_page, next_run}));
+
+    bus.clearPurgedMarks();
+    for (const Addr addr : {last_of_page, edge, next_run})
+        EXPECT_FALSE(bus.purgedDirtyMarked(addr)) << addr;
+    EXPECT_EQ(snapshot(0, Addr{1} << 40), (Marks{0}));
+    bus.markPurgedDirty(edge);
+    EXPECT_EQ(snapshot(0, Addr{1} << 40), (Marks{1, edge}));
 }
 
 TEST_F(BusFixture, UnlockBroadcastNotifiesListener)

@@ -130,13 +130,79 @@ TEST(ResidencyFilterUnit, RangeQueriesRespectWordBoundaries)
     filter.registerPe(191);
     filter.addCopy(64, 8);
     filter.setLockResident(127, 8, true);
-    EXPECT_FALSE(filter.anyCopyInRange(8, 0, 64));
-    EXPECT_TRUE(filter.anyCopyInRange(8, 64, 65));
-    EXPECT_TRUE(filter.anyCopyInRange(8, 0, 128));
-    EXPECT_FALSE(filter.anyCopyInRange(8, 65, 192));
-    EXPECT_FALSE(filter.anyLockInRange(8, 0, 127));
-    EXPECT_TRUE(filter.anyLockInRange(8, 127, 128));
-    EXPECT_FALSE(filter.anyLockInRange(8, 128, 192));
+    // Clusters of 64 PEs are the mask words: PEs 64 and 127 are both in
+    // cluster 1.
+    EXPECT_EQ(filter.holderClusters(8, true, false, 64), 0b010u);
+    EXPECT_EQ(filter.holderClusters(8, false, true, 64), 0b010u);
+    // Clusters of 63 end one PE short of each word: PE 64 is in cluster
+    // 1, PE 127 in cluster 2.
+    EXPECT_EQ(filter.holderClusters(8, true, false, 63), 0b010u);
+    EXPECT_EQ(filter.holderClusters(8, false, true, 63), 0b100u);
+    EXPECT_EQ(filter.holderClusters(8, true, true, 63), 0b110u);
+    // Clusters of 65 cross each word: PE 64 in cluster 0, PE 127 in 1.
+    EXPECT_EQ(filter.holderClusters(8, true, true, 65), 0b011u);
+    EXPECT_EQ(filter.holderClusters(8, false, false, 63), 0u);
+    EXPECT_EQ(filter.holderClusters(12, true, true, 63), 0u);
+}
+
+/** The clusters a per-cluster scan of copyMask and lockMask finds. */
+std::uint64_t
+scannedClusters(const ResidencyFilter& filter, Addr block, bool copies,
+                bool locks, std::uint32_t pes, std::uint32_t cluster_size)
+{
+    const PeBitset copy = filter.copyMask(block);
+    const PeBitset lock = filter.lockMask(block);
+    std::uint64_t clusters = 0;
+    for (PeId pe = 0; pe < pes; ++pe) {
+        if ((copies && copy.test(pe)) || (locks && lock.test(pe)))
+            clusters |= 1ull << (pe / cluster_size);
+    }
+    return clusters;
+}
+
+TEST(ResidencyFilterUnit, HolderClustersMatchAPerClusterScan)
+{
+    // Every machine the System accepts (at most 64 clusters) among
+    // P = 64, 128, 1024 and cluster sizes 1, 3, 16, 24, 64, 100; sizes
+    // that do not divide 64 put a cluster across two mask words.
+    Rng rng(0x5eed);
+    int machines = 0;
+    for (const std::uint32_t pes : {64u, 128u, 1024u}) {
+        for (const std::uint32_t size : {1u, 3u, 16u, 24u, 64u, 100u}) {
+            if ((pes + size - 1) / size > 64)
+                continue;
+            ++machines;
+            ResidencyFilter filter;
+            filter.setBlockWords(4);
+            filter.registerPe(pes - 1);
+            // Block b holds up to b % 40 copies and b % 7 locks, so
+            // densities run from empty to a few per cluster.
+            constexpr Addr kBlocks = 120;
+            for (Addr b = 0; b < kBlocks; ++b) {
+                for (Addr i = 0; i < b % 40; ++i)
+                    filter.addCopy(static_cast<PeId>(rng.below(pes)), 4 * b);
+                for (Addr i = 0; i < b % 7; ++i) {
+                    filter.setLockResident(
+                        static_cast<PeId>(rng.below(pes)), 4 * b, true);
+                }
+            }
+            for (Addr b = 0; b < kBlocks + 2; ++b) {
+                for (const bool copies : {false, true}) {
+                    for (const bool locks : {false, true}) {
+                        EXPECT_EQ(filter.holderClusters(4 * b, copies, locks,
+                                                        size),
+                                  scannedClusters(filter, 4 * b, copies,
+                                                  locks, pes, size))
+                            << "P=" << pes << " size=" << size
+                            << " block=" << 4 * b << " copies=" << copies
+                            << " locks=" << locks;
+                    }
+                }
+            }
+        }
+    }
+    // 64: sizes 1-100; 128: 3-100; 1024: 16-100.
+    EXPECT_EQ(machines, 15);
 }
 
 // ---------------------------------------------------------------------
