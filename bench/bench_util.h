@@ -48,7 +48,8 @@ struct BenchContext {
     parse(int argc, const char* const* argv,
           std::initializer_list<Flag> extra = {})
     {
-        std::vector<Flag> flags = {{"scale", Flag::Int}, {"pes", Flag::Int}};
+        std::vector<Flag> flags = {{"scale", Flag::Count},
+                                   {"pes", Flag::Count}};
         flags.insert(flags.end(), extra);
         std::optional<Options> parsed = Options::parse(argc, argv, flags);
         if (!parsed)

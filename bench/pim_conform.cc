@@ -118,17 +118,17 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
 }
 
 const Flag kFlags[] = {
-    {"pes", Flag::Int},                 {"blocks", Flag::Int},
-    {"block-words", Flag::Int},         {"ways", Flag::Int},
-    {"sets", Flag::Int},                {"lock-entries", Flag::Int},
-    {"cluster-size", Flag::Int},        {"hop-cycles", Flag::Int},
-    {"mutate", Flag::String},           {"protocol", Flag::String},
-    {"replacement", Flag::String},      {"replay", Flag::String},
-    {"fuzz", Flag::Bool},               {"seed", Flag::Int},
-    {"traces", Flag::Int},              {"len", Flag::Int},
-    {"no-shrink", Flag::Bool},          {"depth", Flag::Int},
-    {"max-states", Flag::Int},          {"expect-divergence", Flag::Bool},
-    {"max-shrunk", Flag::Int},          {"list-mutations", Flag::Bool},
+    {"pes", Flag::Count},          {"blocks", Flag::Count},
+    {"block-words", Flag::Count},  {"ways", Flag::Count},
+    {"sets", Flag::Count},         {"lock-entries", Flag::Count},
+    {"cluster-size", Flag::Count}, {"hop-cycles", Flag::Count},
+    {"mutate", Flag::String},      {"protocol", Flag::String},
+    {"replacement", Flag::String}, {"replay", Flag::String},
+    {"fuzz", Flag::Bool},          {"seed", Flag::Count},
+    {"traces", Flag::Count},       {"len", Flag::Count},
+    {"no-shrink", Flag::Bool},     {"depth", Flag::Count},
+    {"max-states", Flag::Count},   {"expect-divergence", Flag::Bool},
+    {"max-shrunk", Flag::Count},   {"list-mutations", Flag::Bool},
     {"list-protocols", Flag::Bool},
 };
 

@@ -12,12 +12,16 @@
  *
  * The campaign FAILS (exit 1) if any injected fault escapes: every
  * detector hole is a bug in either the detectors or the plan taxonomy.
+ * It fails too when no cell of a must-detect plan fired: such a plan
+ * tested nothing, so its clean cells prove nothing.
  * Results land in CAMPAIGN.json (validated by
  * `json_check --schema=campaign`); `--smoke` runs the small
  * deterministic grid wired into scripts/ci.sh (ctest label `soak`).
  *
- * Exit codes: 0 = campaign ran, zero escapes; 1 = escapes or unwritable
- * output; on a SimFault, simFaultExitCode's families (10 config, ...).
+ * Exit codes: 0 = campaign ran, zero escapes, every must-detect plan
+ * fired; 1 = escapes, a must-detect plan that never fired, or
+ * unwritable output; on a SimFault, simFaultExitCode's families (10
+ * config, ...).
  */
 
 #include <cstdio>
@@ -143,11 +147,11 @@ usage()
 }
 
 const Flag kFlags[] = {
-    {"smoke", Flag::Bool},      {"seeds", Flag::Count},
-    {"steps", Flag::Int},       {"pes", Flag::Int},
-    {"seed", Flag::Int},        {"jobs", Flag::Count},
-    {"timeout", Flag::Double},  {"out", Flag::String},
-    {"list", Flag::Bool},       {"help", Flag::Bool},
+    {"smoke", Flag::Bool},     {"seeds", Flag::Count},
+    {"steps", Flag::Count},    {"pes", Flag::Count},
+    {"seed", Flag::Count},     {"jobs", Flag::Count},
+    {"timeout", Flag::Double}, {"out", Flag::String},
+    {"list", Flag::Bool},      {"help", Flag::Bool},
 };
 
 std::string
@@ -276,6 +280,7 @@ main(int argc, char** argv)
         options.jobs = static_cast<unsigned>(opts.getInt("jobs", 0));
         options.timeoutSeconds = opts.getDouble("timeout", 60);
 
+        checkSpec(spec);
         std::printf("== soak %s: %zu plans x %u seeds = %zu cells on "
                     "up to %u workers ==\n",
                     spec.name.c_str(), num_plans, seeds,
@@ -287,6 +292,7 @@ main(int argc, char** argv)
         std::vector<SoakCell> cells;
         cells.reserve(outcome.rows.size());
         std::size_t escaped = 0;
+        std::vector<std::uint64_t> plan_fires(num_plans, 0);
         for (const SweepRow& row : outcome.rows) {
             const SoakPlan& plan = plans[row.experiment];
             SoakCell cell;
@@ -298,6 +304,7 @@ main(int argc, char** argv)
                 rowNumber(row, "injector_fires"));
             cell.faultKind = row.failed ? row.faultKind : "";
             cell.outcome = classify(row, plan.mustDetect, cell.fires);
+            plan_fires[row.experiment] += cell.fires;
             if (cell.outcome == "escaped") {
                 ++escaped;
                 std::printf("  ESCAPED %s seed_slot=%llu: %llu fires, "
@@ -336,13 +343,25 @@ main(int argc, char** argv)
             std::printf("wrote %s\n", path.c_str());
         }
 
+        bool failed = false;
         if (escaped != 0) {
             std::fprintf(stderr,
                          "pim_soak: %zu injected fault(s) ESCAPED every "
                          "detector — campaign FAILED\n",
                          escaped);
-            return 1;
+            failed = true;
         }
+        for (std::size_t p = 0; p < num_plans; ++p) {
+            if (plans[p].mustDetect && plan_fires[p] == 0) {
+                std::fprintf(stderr,
+                             "pim_soak: must-detect plan %s never fired, "
+                             "so it tested nothing — campaign FAILED\n",
+                             plans[p].name);
+                failed = true;
+            }
+        }
+        if (failed)
+            return 1;
         std::printf("zero escapes: every must-detect injection was "
                     "caught\n");
         return 0;

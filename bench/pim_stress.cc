@@ -64,16 +64,16 @@ usage()
 }
 
 const Flag kFlags[] = {
-    {"seed", Flag::Int},              {"pes", Flag::Int},
-    {"geometry", Flag::String},       {"steps", Flag::Count},
-    {"span", Flag::Int},              {"write-pct", Flag::Int},
-    {"lock-pct", Flag::Int},          {"opt-pct", Flag::Int},
-    {"plan", Flag::String},           {"trace-out", Flag::String},
-    {"timeline-out", Flag::String},   {"attribution-out", Flag::String},
-    {"expect-fault", Flag::Bool},     {"help", Flag::Bool},
-    {"starvation-bound", Flag::Int},  {"livelock-retries", Flag::Int},
-    {"timeout", Flag::Double},        {"cluster-size", Flag::Int},
-    {"hop-cycles", Flag::Int},
+    {"seed", Flag::Count},             {"pes", Flag::Count},
+    {"geometry", Flag::String},        {"steps", Flag::Count},
+    {"span", Flag::Count},             {"write-pct", Flag::Count},
+    {"lock-pct", Flag::Count},         {"opt-pct", Flag::Count},
+    {"plan", Flag::String},            {"trace-out", Flag::String},
+    {"timeline-out", Flag::String},    {"attribution-out", Flag::String},
+    {"expect-fault", Flag::Bool},      {"help", Flag::Bool},
+    {"starvation-bound", Flag::Count}, {"livelock-retries", Flag::Count},
+    {"timeout", Flag::Double},         {"cluster-size", Flag::Count},
+    {"hop-cycles", Flag::Count},
 };
 
 /** Run the one seed @p opts names and print its outcome. */

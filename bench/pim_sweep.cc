@@ -8,13 +8,13 @@
  *
  * `--spec=paper` reproduces the entire Table 1-5 / Figure 1-3 grid in
  * one invocation; SWEEP.json is byte-identical for any --jobs value
- * and any interrupt/--resume split (docs/ROBUSTNESS.md).
+ * (docs/EXPERIMENTS.md).
  *
- * Exit codes: 0 = every requested task ran (failed rows are results,
- * reported in SWEEP.json); 1 = bad usage or unwritable output; else a
- * SimFault per simFaultExitCode's families (10 config, 11 parse, ...),
- * e.g. a parameter the task kind never reads, an unknown benchmark or a
- * checkpoint/spec mismatch under --resume exits 10.
+ * Exit codes: 0 = every task ran (failed rows are results, reported in
+ * SWEEP.json); 1 = bad usage or unwritable output; else a SimFault per
+ * simFaultExitCode's families (10 config, 11 parse, ...), e.g. a
+ * parameter the task kind never reads, an unknown benchmark or a grid
+ * of more than kMaxSweepTasks tasks exits 10, before any task runs.
  */
 
 #include <cstdio>
@@ -48,20 +48,13 @@ usage()
         "  --list              print the expanded grid and exit\n"
         "  --timeout=SECS      per-task wall-clock budget; an overrunning\n"
         "                      point is one failed Timeout row instead of\n"
-        "                      wedging its worker (default: none)\n"
-        "  --resume            restore completed slots from\n"
-        "                      OUT/SWEEP.ckpt.json (same spec, verified\n"
-        "                      by config hash) and run only the rest\n"
-        "  --max-tasks=K       stop after K tasks this invocation,\n"
-        "                      leaving the checkpoint for --resume\n"
-        "                      (default: 0 = run everything)\n");
+        "                      wedging its worker (default: none)\n");
 }
 
 const Flag kFlags[] = {
     {"spec", Flag::String},    {"jobs", Flag::Count},
-    {"out", Flag::String},     {"scale", Flag::Int},
+    {"out", Flag::String},     {"scale", Flag::Count},
     {"list", Flag::Bool},      {"timeout", Flag::Double},
-    {"resume", Flag::Bool},    {"max-tasks", Flag::Int},
     {"help", Flag::Bool},
 };
 
@@ -102,16 +95,8 @@ main(int argc, char** argv)
         options.scale =
             static_cast<std::uint32_t>(opts.getInt("scale", 0));
         options.timeoutSeconds = opts.getDouble("timeout", 0);
-        options.resume = opts.has("resume");
-        options.maxTasks =
-            static_cast<std::size_t>(opts.getInt("max-tasks", 0));
-        if (options.resume && options.outDir.empty()) {
-            std::fprintf(stderr,
-                         "pim_sweep: --resume needs --out=DIR (the "
-                         "checkpoint lives there)\n");
-            return 1;
-        }
 
+        checkSpec(spec);
         if (opts.has("list")) {
             std::size_t index = 0;
             for (const SweepExperiment& experiment : spec.experiments) {
@@ -125,7 +110,6 @@ main(int argc, char** argv)
             return 0;
         }
 
-        checkSpec(spec);
         std::printf("== sweep %s: %zu tasks on up to %u workers ==\n",
                     spec.name.c_str(), spec.totalTasks(),
                     parallelForThreads(spec.totalTasks(), options.jobs));
@@ -135,26 +119,19 @@ main(int argc, char** argv)
         for (const SweepExperiment& experiment : spec.experiments)
             std::printf("  %-24s %zu points\n", experiment.id.c_str(),
                         experiment.pointCount());
-        if (outcome.resumedRows != 0) {
-            std::printf("resumed: %zu rows restored from %s\n",
-                        outcome.resumedRows, sweepCheckpointName());
-        }
         std::printf("tasks: %zu total, %zu completed, %zu failed rows\n",
-                    outcome.rows.size(), outcome.completedRows,
+                    outcome.rows.size(), outcome.rows.size(),
                     outcome.failedRows);
         for (const SweepRow& row : outcome.rows) {
-            if (row.done && row.failed) {
+            if (row.failed) {
                 std::printf("  FAILED task %zu (%s): %s: %s\n",
                             row.taskIndex,
                             spec.experiments[row.experiment].id.c_str(),
                             row.faultKind.c_str(), row.message.c_str());
             }
         }
-        if (outcome.complete) {
-            std::printf("fingerprint: %016llx\n",
-                        static_cast<unsigned long long>(
-                            outcome.fingerprint));
-        }
+        std::printf("fingerprint: %016llx\n",
+                    static_cast<unsigned long long>(outcome.fingerprint));
         std::printf("throughput: %.1f s wall, %.2f sims/sec, "
                     "speedup vs --jobs=1 (est.): %.2fx on %u workers\n",
                     outcome.wallSeconds,
@@ -169,17 +146,8 @@ main(int argc, char** argv)
 
         if (!writeSweepFiles(outcome, options))
             return 1;
-        if (!options.outDir.empty()) {
-            if (outcome.complete) {
-                std::printf("wrote %s/SWEEP.json\n",
-                            options.outDir.c_str());
-            } else {
-                std::printf("partial run (%zu/%zu tasks): checkpoint "
-                            "left in %s/%s; finish with --resume\n",
-                            outcome.completedRows, outcome.rows.size(),
-                            options.outDir.c_str(), sweepCheckpointName());
-            }
-        }
+        if (!options.outDir.empty())
+            std::printf("wrote %s/SWEEP.json\n", options.outDir.c_str());
         return 0;
     });
 }

@@ -141,10 +141,10 @@ int
 main(int argc, char** argv)
 {
     const Flag flags[] = {
-        {"pes", Flag::Int},          {"block", Flag::Int},
-        {"ways", Flag::Int},         {"capacity", Flag::Int},
-        {"pattern", Flag::String},   {"trace-in", Flag::String},
-        {"n", Flag::Count},          {"illinois", Flag::Bool},
+        {"pes", Flag::Count},      {"block", Flag::Count},
+        {"ways", Flag::Count},     {"capacity", Flag::Count},
+        {"pattern", Flag::String}, {"trace-in", Flag::String},
+        {"n", Flag::Count},        {"illinois", Flag::Bool},
     };
     const std::optional<Options> parsed = Options::parse(argc, argv, flags);
     if (!parsed)

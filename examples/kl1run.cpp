@@ -153,11 +153,11 @@ main(int argc, char** argv)
     using namespace pim;
 
     const Flag flags[] = {
-        {"pes", Flag::Int},       {"policy", Flag::String},
-        {"block", Flag::Int},     {"ways", Flag::Int},
-        {"capacity", Flag::Int},  {"illinois", Flag::Bool},
-        {"gc", Flag::Bool},       {"heap", Flag::Int},
-        {"report", Flag::Bool},   {"disasm", Flag::Bool},
+        {"pes", Flag::Count},      {"policy", Flag::String},
+        {"block", Flag::Count},    {"ways", Flag::Count},
+        {"capacity", Flag::Count}, {"illinois", Flag::Bool},
+        {"gc", Flag::Bool},        {"heap", Flag::Count},
+        {"report", Flag::Bool},    {"disasm", Flag::Bool},
         {"trace", Flag::String},
     };
     // The program file, then the query.

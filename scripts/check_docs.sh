@@ -8,7 +8,8 @@
 # fenced block) must still be parsed by that tool and any other
 # backticked `--flag` by some tool, every backticked `pim_<name>` must
 # still be a CMake target,
-# every ctest label the docs name must still be set on some test, and
+# every ctest label the docs name must still be set on some test, every
+# `ctest -R` pattern must still select some test, and
 # every backticked macro, environment-variable or build-option name
 # (`PIM_...`, `REPRO_...`) must still appear in the code, the root
 # CMakeLists.txt or scripts/, so the docs cannot silently rot as files
@@ -33,6 +34,17 @@ targets=$(find "${code_dirs[@]}" -name CMakeLists.txt -exec grep -hoE \
     | sed -E 's/.*\( *//' | sort -u)
 labels=$(grep -oE 'LABELS +[A-Za-z0-9_-]+' tests/CMakeLists.txt \
     | sed -E 's/LABELS +//' | sort -u)
+# Test names a `ctest -R` pattern can select: every add_test(NAME ...)
+# in tests/ and examples/, and the Suite.Name of every gtest case. A
+# name built from a CMake variable becomes an anchored regex in
+# name_templates, each ${...} (innermost first) matching anything.
+test_names=$({ grep -hoE 'add_test\(NAME +[^ )]+' tests/CMakeLists.txt \
+                   examples/CMakeLists.txt | sed -E 's/add_test\(NAME +//'
+               grep -hoE '^TEST(_F|_P)?\( *[A-Za-z0-9_]+, *[A-Za-z0-9_]+' \
+                   tests/*.cc | sed -E 's/^TEST(_F|_P)?\( *//; s/, */./'; } \
+             | sort -u)
+name_templates=$(grep -F '${' <<< "${test_names}" \
+    | sed -E ':a; s/\$\{[^{}]*\}/.*/; ta; s/^/^/; s/$/$/')
 complain() {
     echo "check_docs: $1: stale reference: $2" >&2
     fail=1
@@ -198,6 +210,17 @@ check_file() {
                    | sed -E 's/.*-L +//'
                grep -oiE 'label `[A-Za-z0-9_-]+`' <<< "${text}" \
                    | sed -E 's/.*`(.*)`/\1/'; } | sort -u)
+
+    # ctest name patterns: a pattern named as `ctest ... -R PATTERN`
+    # must match some test name, or be matched by a name template.
+    while IFS= read -r pattern; do
+        if ! grep -qE -- "${pattern}" <<< "${test_names}" \
+               && ! grep -qEf <(echo "${name_templates}") <<< "${pattern}"
+        then
+            complain "${doc}" "test pattern ${pattern}"
+        fi
+    done < <(grep -oE '`ctest [^`]*-R +[^ `]+' <<< "${text}" \
+                 | sed -E "s/.*-R +//; s/^'//; s/'$//" | sort -u)
 
     # Macro, environment-variable and build-option names: every
     # PIM_/REPRO_ token inside a code span (a macro, an environment

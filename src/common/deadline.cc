@@ -9,12 +9,19 @@ Deadline::afterSeconds(double seconds)
 {
     Deadline deadline;
     deadline.unlimited_ = false;
-    deadline.limitSeconds_ = seconds < 0 ? 0 : seconds;
+    deadline.limitSeconds_ = seconds > 0 ? seconds : 0;
     deadline.start_ = Clock::now();
+    // A budget the clock cannot count from now (past about 9.2e9 s, or
+    // infinite) never expires: converted to ticks it would overflow
+    // into a cutoff in the past. The second of slack keeps the
+    // double-to-ticks rounding clear of the overflow.
+    const std::chrono::duration<double> budget(deadline.limitSeconds_);
+    const std::chrono::duration<double> room =
+        Clock::time_point::max() - deadline.start_ - std::chrono::seconds(1);
     deadline.cutoff_ =
-        deadline.start_ +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(deadline.limitSeconds_));
+        budget < room ? deadline.start_ +
+                            std::chrono::duration_cast<Clock::duration>(budget)
+                      : Clock::time_point::max();
     return deadline;
 }
 

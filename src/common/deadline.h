@@ -38,7 +38,9 @@ class Deadline
 
     /**
      * Expires @p seconds of wall-clock time from now. Non-positive
-     * budgets expire immediately (useful in tests).
+     * budgets expire immediately (useful in tests); one the steady clock
+     * cannot count from now (past about 9.2e9 s, or infinite) never
+     * does.
      */
     static Deadline afterSeconds(double seconds);
 

@@ -2,12 +2,12 @@
  * @file
  * Filesystem helpers for the simulator's output documents.
  *
- * The JSON documents the tools publish (SWEEP.json, SWEEP.ckpt.json,
- * CAMPAIGN.json, the attribution document) are written via
- * writeFileAtomic: the content lands in a same-directory temp file first
- * and is renamed over the destination, so a killed process leaves either
- * the old complete file or the new complete file — never a torn
- * half-document (docs/ROBUSTNESS.md "Checkpoint and resume").
+ * The JSON documents the tools publish (SWEEP.json, CAMPAIGN.json, the
+ * attribution document) are written via writeFileAtomic: the content
+ * lands in a same-directory temp file first and is renamed over the
+ * destination, so a killed process leaves either the old complete file
+ * or the new complete file — never a torn half-document
+ * (docs/ROBUSTNESS.md "Atomic publication").
  */
 
 #ifndef PIMCACHE_COMMON_FS_UTIL_H_

@@ -4,9 +4,9 @@
  *
  * JsonWriter is a streaming writer (objects, arrays, scalar values) used
  * by the attribution engine, the timeline recorder, the sweep engine
- * (SWEEP.json and its checkpoint) and pim_soak (CAMPAIGN.json).
+ * (SWEEP.json) and pim_soak (CAMPAIGN.json).
  * JsonValue is a small recursive-descent parser used by tests, the
- * sweep engine (spec files, checkpoints) and the json_check schema
+ * sweep engine (spec files) and the json_check schema
  * validator to read JSON back. Neither aims at full spec coverage: strings are escaped to
  * ASCII, numbers round-trip through double (exact below 2^53), and the
  * parser rejects anything malformed with SimFault(Parse).

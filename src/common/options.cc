@@ -1,6 +1,8 @@
 #include "common/options.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -22,13 +24,19 @@ valueRule(Flag::Type type, const std::string& value)
         return nullptr;
     char* end = nullptr;
     if (type == Flag::Double) {
-        std::strtod(value.c_str(), &end);
-        return !value.empty() && *end == '\0' ? nullptr : "a number";
+        const double number = std::strtod(value.c_str(), &end);
+        const bool read = !value.empty() && *end == '\0';
+        return read && std::isfinite(number) && number >= 0
+                   ? nullptr
+                   : "a finite number >= 0";
     }
-    const bool negative = std::strtoll(value.c_str(), &end, 0) < 0;
-    if (value.empty() || *end != '\0')
-        return "an integer";
-    return type == Flag::Count && negative ? "a whole number >= 0" : nullptr;
+    errno = 0;
+    const long long number = std::strtoll(value.c_str(), &end, 0);
+    if (value.empty() || *end != '\0' || number < 0)
+        return "a whole number >= 0";
+    // strtoll saturates a value past the int64 range and says so only
+    // in errno.
+    return errno == ERANGE ? "a whole number below 2^63" : nullptr;
 }
 
 } // namespace

@@ -22,10 +22,11 @@ namespace pim {
 struct Flag {
     enum Type : std::uint8_t {
         Bool,   ///< "--name" alone: takes no value, never the next argument.
-        Int,    ///< A whole integer: decimal, 0x hex or 0-led octal.
-        Count,  ///< An Int >= 0: cast to an unsigned worker or seed count,
-                ///< -1 would ask for 2^32-1 of them.
-        Double, ///< A whole floating-point number.
+        Count,  ///< A whole number from 0 to 2^63-1: decimal, 0x hex or
+                ///< 0-led octal. Every integer a binary reads is a size,
+                ///< count, seed or bound cast to an unsigned type, where
+                ///< -1 would wrap to 2^32-1 or 2^64-1.
+        Double, ///< A finite floating-point number >= 0 (a time budget).
         String, ///< Any text.
     };
     const char* name;
@@ -43,7 +44,8 @@ class Options
      * argument not starting with "--" is positional. Returns nullopt,
      * after printing "<program>: <reason>" to stderr, on an unknown
      * flag, a Bool flag given a value, a valued flag given none, a
-     * number that does not parse whole, a negative Count, or one
+     * number that does not parse whole, a Count that is negative or past
+     * the int64 range, a Double that is negative or not finite, or one
      * positional more than the binary reads: each would otherwise run
      * something other than the run asked for.
      */
@@ -61,7 +63,7 @@ class Options
     /** Every value given for --name, in order. */
     std::vector<std::string> getAll(const std::string& name) const;
 
-    /** Integer value of --name, or @p fallback. */
+    /** Value of the Count flag --name, or @p fallback. */
     std::int64_t getInt(const std::string& name, std::int64_t fallback) const;
 
     /** Double value of --name, or @p fallback. */

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <filesystem>
-#include <mutex>
 #include <span>
 #include <sstream>
 
@@ -392,171 +390,21 @@ renderSweepJson(const SweepSpec& spec, const SweepOutcome& outcome)
     return os.str();
 }
 
-/** Double bits as 16 hex digits (bit-exact checkpoint round-trip). */
-std::string
-doubleBitsHex(double value)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &value, sizeof bits);
-    return hex16(bits);
-}
-
-double
-doubleFromBitsHex(const std::string& hex)
-{
-    std::uint64_t bits = 0;
-    for (char c : hex) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else if (c >= 'A' && c <= 'F')
-            digit = c - 'A' + 10;
-        else
-            throw PIM_SIM_FAULT(SimFaultKind::Parse,
-                                "checkpoint: bad double bits '", hex, "'");
-        bits = (bits << 4) | static_cast<std::uint64_t>(digit);
-    }
-    double value;
-    std::memcpy(&value, &bits, sizeof value);
-    return value;
-}
-
-/**
- * Serialize every completed slot. Numbers are stored twice: "b" carries
- * the exact IEEE bits (authoritative — a resumed SWEEP.json must be
- * *byte*-identical, so the doubles must be bit-identical), "n" the
- * human-readable value for people inspecting the checkpoint.
- */
-std::string
-renderCheckpoint(const SweepOutcome& outcome, const std::string& hash)
-{
-    std::ostringstream os;
-    JsonWriter json(os, /*pretty=*/true);
-    json.beginObject();
-    json.field("config_hash", hash);
-    json.field("tasks", static_cast<std::uint64_t>(outcome.rows.size()));
-    json.key("completed");
-    json.beginArray();
-    for (const SweepRow& row : outcome.rows) {
-        if (!row.done)
-            continue;
-        json.beginObject();
-        json.field("task", static_cast<std::uint64_t>(row.taskIndex));
-        json.field("failed", row.failed);
-        if (row.failed) {
-            json.field("fault_kind", row.faultKind);
-            json.field("message", row.message);
-        }
-        json.key("metrics");
-        json.beginArray();
-        for (const auto& [name, value] : row.metrics) {
-            json.beginObject();
-            json.field("k", name);
-            if (value.isNumber) {
-                json.field("b", doubleBitsHex(value.number));
-                json.field("n", value.number);
-            } else {
-                json.field("s", value.text);
-            }
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    os << "\n";
-    return os.str();
-}
-
-/**
- * Restore checkpointed slots into @p outcome. Missing file -> nothing
- * to resume (fresh run). A present-but-foreign checkpoint (different
- * config hash or task count) is a Config fault: silently re-running a
- * different grid over it would corrupt both runs' outputs.
- */
-std::size_t
-loadCheckpoint(const std::string& path, const std::string& hash,
-               SweepOutcome* outcome)
-{
-    if (!std::filesystem::exists(path))
-        return 0;
-    const JsonValue doc = JsonValue::parseFile(path);
-    const std::string doc_hash =
-        doc.has("config_hash") ? doc.at("config_hash").asString() : "";
-    if (doc_hash != hash) {
-        throw PIM_SIM_FAULT(SimFaultKind::Config, "checkpoint ", path,
-                            " belongs to config ", doc_hash,
-                            " but this sweep hashes to ", hash,
-                            "; delete it or rerun the original spec");
-    }
-    const auto tasks =
-        static_cast<std::size_t>(doc.at("tasks").asNumber());
-    if (tasks != outcome->rows.size()) {
-        throw PIM_SIM_FAULT(SimFaultKind::Config, "checkpoint ", path,
-                            " covers ", tasks, " tasks but the grid has ",
-                            outcome->rows.size());
-    }
-    std::size_t restored = 0;
-    for (const JsonValue& entry : doc.at("completed").asArray()) {
-        const auto index =
-            static_cast<std::size_t>(entry.at("task").asNumber());
-        if (index >= outcome->rows.size()) {
-            throw PIM_SIM_FAULT(SimFaultKind::Config, "checkpoint ", path,
-                                " references task ", index,
-                                " outside the grid");
-        }
-        SweepRow& row = outcome->rows[index];
-        row.metrics.clear();
-        for (const JsonValue& m : entry.at("metrics").asArray()) {
-            const std::string& name = m.at("k").asString();
-            if (m.has("b")) {
-                row.metrics.emplace_back(
-                    name, ParamValue::ofNumber(
-                              doubleFromBitsHex(m.at("b").asString())));
-            } else {
-                row.metrics.emplace_back(
-                    name, ParamValue::ofText(m.at("s").asString()));
-            }
-        }
-        row.failed = entry.at("failed").asBool();
-        row.faultKind =
-            row.failed ? entry.at("fault_kind").asString() : "";
-        row.message = row.failed ? entry.at("message").asString() : "";
-        row.done = true;
-        ++restored;
-    }
-    return restored;
-}
-
 } // namespace
 
 void
 checkSpec(const SweepSpec& spec)
 {
+    // Counted before anything is expanded: expanding a grid too big
+    // for memory would abort the process.
+    if (spec.totalTasks() > kMaxSweepTasks) {
+        throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: the grid has more "
+                            "than ", kMaxSweepTasks, " tasks");
+    }
     for (const SweepExperiment& experiment : spec.experiments) {
         for (const SweepPoint& point : experiment.expand())
             checkPoint(point, experiment);
     }
-}
-
-std::string
-sweepConfigHash(const SweepSpec& spec, const SweepOptions& options)
-{
-    std::uint64_t h = mixString(hashMix(0, spec.seed), spec.name);
-    for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
-        const SweepExperiment& experiment = spec.experiments[e];
-        h = mixString(h, experiment.id);
-        h = mixString(h, taskKindName(experiment.kind));
-        for (SweepPoint& point : experiment.expand()) {
-            if (options.scale != 0 && experiment.kind == TaskKind::Kl1)
-                point.set("scale", ParamValue::ofNumber(options.scale));
-            h = mixString(h, point.toString());
-        }
-    }
-    return hex16(h);
 }
 
 SweepOutcome
@@ -584,51 +432,15 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
         }
     }
 
-    const std::string config_hash = sweepConfigHash(spec, options);
-    const std::string ckpt_path =
-        options.outDir.empty()
-            ? ""
-            : (std::filesystem::path(options.outDir) /
-               sweepCheckpointName()).string();
-
-    if (options.resume && !ckpt_path.empty())
-        outcome.resumedRows = loadCheckpoint(ckpt_path, config_hash,
-                                             &outcome);
-
-    // Pending tasks in index order; --max-tasks caps how many this
-    // invocation runs (the deterministic "interrupt" used by the
-    // resume ctest).
-    std::vector<SweepRow*> pending;
-    for (SweepRow& row : outcome.rows) {
-        if (!row.done)
-            pending.push_back(&row);
-    }
-    if (options.maxTasks != 0 && pending.size() > options.maxTasks)
-        pending.resize(options.maxTasks);
-
-    // No more workers than pending tasks, and at least one.
-    outcome.jobs = parallelForThreads(pending.size(), options.jobs);
-
-    // Checkpoint plumbing: done flags flip only under the mutex, so the
-    // serializer (also under it) never reads a half-filled row.
-    std::mutex done_mutex;
-    const auto write_checkpoint_locked = [&] {
-        if (ckpt_path.empty())
-            return;
-        std::string error;
-        if (!writeFileAtomic(ckpt_path,
-                             renderCheckpoint(outcome, config_hash),
-                             &error)) {
-            std::fprintf(stderr, "pim_sweep: checkpoint: %s\n",
-                         error.c_str());
-        }
-    };
+    // No more workers than tasks, and at least one.
+    outcome.jobs = parallelForThreads(outcome.rows.size(), options.jobs);
 
     const Clock::time_point wall_start = Clock::now();
-    parallelFor(pending.size(), outcome.jobs, [&](std::size_t p) {
+    parallelFor(outcome.rows.size(), outcome.jobs, [&](std::size_t i) {
         // A faulting point is a result, not a crash: its SimFault
-        // becomes the row's failure.
-        SweepRow& row = *pending[p];
+        // becomes the row's failure. Each worker writes only its own
+        // row.
+        SweepRow& row = outcome.rows[i];
         const double start = threadSeconds();
         try {
             if (spec.experiments[row.experiment].kind == TaskKind::Kl1) {
@@ -643,72 +455,40 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
             row.message = fault.message();
         }
         row.seconds = threadSeconds() - start;
-
-        std::lock_guard<std::mutex> lock(done_mutex);
-        row.done = true;
-        write_checkpoint_locked();
     });
     outcome.wallSeconds =
         std::chrono::duration<double>(Clock::now() - wall_start).count();
 
     // Single-threaded aggregation in task order (determinism barrier).
-    outcome.complete = true;
     for (const SweepRow& row : outcome.rows) {
-        if (!row.done) {
-            outcome.complete = false;
-            continue;
-        }
-        ++outcome.completedRows;
         outcome.taskSecondsSum += row.seconds;
         if (row.failed)
             ++outcome.failedRows;
-    }
-
-    if (outcome.complete) {
-        for (const SweepRow& row : outcome.rows) {
-            std::uint64_t h = hashMix(0, row.taskIndex);
-            h = mixString(h, row.params.toString());
-            for (const auto& [name, value] : row.metrics) {
-                h = mixString(h, name);
-                h = mixString(h, value.toString());
-            }
-            h = hashMix(h, row.failed ? 1 : 0);
-            outcome.fingerprint = hashMix(outcome.fingerprint, h);
+        std::uint64_t h = hashMix(0, row.taskIndex);
+        h = mixString(h, row.params.toString());
+        for (const auto& [name, value] : row.metrics) {
+            h = mixString(h, name);
+            h = mixString(h, value.toString());
         }
-        outcome.sweepJson = renderSweepJson(spec, outcome);
-    } else {
-        // Partial run (--max-tasks): the checkpoint is the product; a
-        // half-grid SWEEP document would masquerade as a full one.
-        std::lock_guard<std::mutex> lock(done_mutex);
-        write_checkpoint_locked();
+        h = hashMix(h, row.failed ? 1 : 0);
+        outcome.fingerprint = hashMix(outcome.fingerprint, h);
     }
+    outcome.sweepJson = renderSweepJson(spec, outcome);
     return outcome;
 }
 
 bool
 writeSweepFiles(const SweepOutcome& outcome, const SweepOptions& options)
 {
-    namespace fs = std::filesystem;
-    // A partial run's only valid artifact is the checkpoint runSweep
-    // already wrote; a half-grid SWEEP.json would masquerade as a full
-    // one.
-    if (options.outDir.empty() || !outcome.complete)
+    if (options.outDir.empty())
         return true;
-
-    // Atomic publish (temp + rename): a killed process leaves the
-    // previous complete document, never a torn half-written one.
     std::string error;
-    if (!writeFileAtomic((fs::path(options.outDir) / "SWEEP.json").string(),
-                         outcome.sweepJson, &error)) {
+    if (!writeFileAtomic(
+            (std::filesystem::path(options.outDir) / "SWEEP.json").string(),
+            outcome.sweepJson, &error)) {
         std::fprintf(stderr, "pim_sweep: %s\n", error.c_str());
         return false;
     }
-
-    // The grid is fully drained and published; the checkpoint would
-    // only confuse a later --resume of a different grid in the same
-    // directory.
-    std::error_code ec;
-    fs::remove(fs::path(options.outDir) / sweepCheckpointName(), ec);
     return true;
 }
 

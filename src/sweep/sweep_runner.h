@@ -36,7 +36,6 @@ struct SweepRow {
     std::string faultKind;      ///< simFaultKindName when failed.
     std::string message;        ///< Fault message when failed.
     double seconds = 0;         ///< Thread CPU time (never in SWEEP).
-    bool done = false;          ///< The slot holds a final result.
 };
 
 /** Execution options (the pim_sweep CLI surface). */
@@ -51,75 +50,51 @@ struct SweepOptions {
      * only pass on a faster host. The rest of the grid keeps draining.
      */
     double timeoutSeconds = 0;
-    /**
-     * Resume from outDir/SWEEP.ckpt.json: slots whose results were
-     * checkpointed by an earlier (interrupted) run of the *same*
-     * spec+options (verified by config hash) are restored, not re-run.
-     * The final SWEEP.json is byte-identical to an uninterrupted run.
-     * With outDir set, the runner rewrites the checkpoint after every
-     * completed task, atomically (temp + rename), so a kill leaves a
-     * valid previous checkpoint.
-     */
-    bool resume = false;
-    /**
-     * Stop after this many tasks have completed this invocation,
-     * leaving the checkpoint behind (0 = run everything). The
-     * deterministic way to "interrupt" a sweep — the resume ctest and
-     * operators draining a grid in slices both use it.
-     */
-    std::size_t maxTasks = 0;
 };
 
 /** Everything a sweep run produced. */
 struct SweepOutcome {
     std::vector<SweepRow> rows; ///< Task-index order.
     std::size_t failedRows = 0;
-    std::size_t completedRows = 0; ///< Slots holding final results.
-    std::size_t resumedRows = 0;   ///< Restored from the checkpoint.
-    bool complete = false;      ///< Every slot is done (SWEEP.json valid).
     double wallSeconds = 0;     ///< Whole-grid wall time.
     double taskSecondsSum = 0;  ///< Serial-time estimate (sum of per-task
                                 ///< thread CPU times).
     unsigned jobs = 1;          ///< Workers actually used.
     std::uint64_t fingerprint = 0; ///< Hash of all deterministic rows.
-    std::string sweepJson;      ///< Rendered SWEEP document ("" if partial).
+    std::string sweepJson;      ///< Rendered SWEEP document.
 };
 
 /**
- * Refuse a spec whose points its tasks would misread: a parameter the
- * task kind never reads (it would silently run at the default), or a
- * kl1 point with a missing or unknown benchmark.
+ * Largest grid a sweep runs: far above the largest built-in grid (the
+ * paper grid's 108 tasks), and small enough that the expanded grid
+ * fits in memory.
+ */
+inline constexpr std::size_t kMaxSweepTasks = 100000;
+
+/**
+ * Refuse a spec whose points its tasks would misread: a grid of more
+ * than kMaxSweepTasks tasks (counted before anything is expanded), a
+ * parameter the task kind never reads (it would silently run at the
+ * default), a negative number, or a kl1 point with a missing or
+ * unknown benchmark.
  *
  * @throws SimFault(Config) naming the experiment and the parameter.
  */
 void checkSpec(const SweepSpec& spec);
 
 /**
- * Expand @p spec and run every pending task once on @p options.jobs
- * workers (at most one per pending task).
+ * Expand @p spec and run every task once on @p options.jobs workers (at
+ * most one per task).
  *
  * @throws SimFault(Config) before any task runs when checkSpec refuses
- *         @p spec, or when a --resume checkpoint belongs to another grid.
+ *         @p spec.
  */
 SweepOutcome runSweep(const SweepSpec& spec, const SweepOptions& options);
 
 /**
- * Hash identifying the deterministic inputs of a sweep: the spec (name,
- * seed, every expanded task's experiment/kind/params, post scale
- * override) — and nothing execution-related (jobs, timeouts, output
- * paths). A checkpoint is only resumable into a run with the same hash.
- * Rendered as 16 hex digits.
- */
-std::string sweepConfigHash(const SweepSpec& spec,
-                            const SweepOptions& options);
-
-/** Checkpoint file name inside SweepOptions::outDir. */
-inline const char* sweepCheckpointName() { return "SWEEP.ckpt.json"; }
-
-/**
- * Publish a complete run's SWEEP.json into options.outDir (created,
- * parents included, when missing) and remove the drained checkpoint; a
- * partial run writes nothing (its checkpoint is already on disk).
+ * Publish the run's SWEEP.json into options.outDir (created, parents
+ * included, when missing), atomically: a killed process leaves the
+ * previous document or none, never a torn one.
  * @return false if SWEEP.json cannot be written.
  */
 bool writeSweepFiles(const SweepOutcome& outcome,

@@ -1,6 +1,8 @@
 #include "sweep/sweep_spec.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -118,9 +120,15 @@ taskKindName(TaskKind kind)
 std::size_t
 SweepExperiment::pointCount() const
 {
+    // An empty axis empties the grid, however large the other axes.
+    const auto empty = [](const auto& axis) { return axis.second.empty(); };
+    if (std::any_of(axes.begin(), axes.end(), empty))
+        return 0;
     std::size_t count = seeds == 0 ? 1 : seeds;
-    for (const auto& [name, values] : axes)
-        count *= values.size();
+    for (const auto& [name, values] : axes) {
+        if (__builtin_mul_overflow(count, values.size(), &count))
+            return SIZE_MAX;
+    }
     return count;
 }
 
@@ -162,8 +170,10 @@ std::size_t
 SweepSpec::totalTasks() const
 {
     std::size_t count = 0;
-    for (const SweepExperiment& experiment : experiments)
-        count += experiment.pointCount();
+    for (const SweepExperiment& experiment : experiments) {
+        if (__builtin_add_overflow(count, experiment.pointCount(), &count))
+            return SIZE_MAX;
+    }
     return count;
 }
 
@@ -180,6 +190,22 @@ paramFromJson(const std::string& where, const JsonValue& value)
         return ParamValue::ofNumber(value.asBool() ? 1 : 0);
     throw PIM_SIM_FAULT(SimFaultKind::Parse, "sweep spec: ", where,
                         " must be a number, string or bool");
+}
+
+/**
+ * @p value as an unsigned count or seed: a negative, fractional or
+ * too-large number would wrap or truncate in the cast.
+ */
+std::uint64_t
+wholeNumberFromJson(const std::string& where, const JsonValue& value)
+{
+    const double number = value.asNumber();
+    if (!(number >= 0 && number < 0x1p64 && number == std::floor(number))) {
+        throw PIM_SIM_FAULT(SimFaultKind::Parse, "sweep spec: ", where,
+                            " must be a whole number >= 0 below 2^64, got ",
+                            number);
+    }
+    return static_cast<std::uint64_t>(number);
 }
 
 SweepPoint
@@ -208,7 +234,7 @@ SweepSpec::parse(const JsonValue& doc)
     if (const JsonValue* name = doc.find("name"))
         spec.name = name->asString();
     if (const JsonValue* seed = doc.find("seed"))
-        spec.seed = static_cast<std::uint64_t>(seed->asNumber());
+        spec.seed = wholeNumberFromJson("seed", *seed);
 
     const JsonValue* experiments = doc.find("experiments");
     if (experiments == nullptr || !experiments->isArray() ||
@@ -277,7 +303,7 @@ SweepSpec::parse(const JsonValue& doc)
                                     "stress experiments");
             }
             experiment.seeds =
-                static_cast<std::uint32_t>(seeds->asNumber());
+                wholeNumberFromJson(where + ".seeds", *seeds);
         }
 
         if (const JsonValue* paper = doc_exp.find("paper")) {
@@ -455,7 +481,6 @@ SweepSpec::clustersGrid()
     spec.name = "clusters";
     spec.seed = 1;
 
-    // First so a `--max-tasks=4` run validates the stress batch alone.
     SweepExperiment stress;
     stress.id = "clustered_stress";
     stress.kind = TaskKind::Stress;

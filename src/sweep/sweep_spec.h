@@ -78,14 +78,17 @@ struct SweepExperiment {
      * per-task derived seeds (deriveSeed of the spec seed and the task
      * index). 0 = no implicit axis.
      */
-    std::uint32_t seeds = 0;
+    std::uint64_t seeds = 0;
     /** Paper reference values: metric name -> expected mean over rows. */
     std::vector<std::pair<std::string, double>> paper;
 
     /** Cartesian product of the axes over the base point. */
     std::vector<SweepPoint> expand() const;
 
-    /** Number of grid points without materializing them. */
+    /**
+     * Number of grid points without materializing them, SIZE_MAX when
+     * that does not fit in a size_t.
+     */
     std::size_t pointCount() const;
 };
 
@@ -95,7 +98,7 @@ struct SweepSpec {
     std::uint64_t seed = 1;
     std::vector<SweepExperiment> experiments;
 
-    /** Total task count across experiments. */
+    /** Total task count across experiments, saturating at SIZE_MAX. */
     std::size_t totalTasks() const;
 
     /** Parse a spec document. @throws SimFault (Parse/Config). */

@@ -116,7 +116,7 @@ TEST(Rng, UniformInUnitInterval)
 }
 
 const Flag kTestFlags[] = {
-    {"pes", Flag::Int},      {"scale", Flag::Int},
+    {"pes", Flag::Count},    {"scale", Flag::Count},
     {"verbose", Flag::Bool}, {"quiet", Flag::Bool},
     {"smoke", Flag::Bool},   {"timeout", Flag::Double},
     {"out", Flag::String},   {"require", Flag::String},
@@ -182,13 +182,12 @@ TEST(Options, FlagsAreKnown)
 TEST(Options, RefusesMalformedValues)
 {
     const char* const whole[] = {"prog", "--pes=0x10", "--timeout", "0.5",
-                                 "--seeds=0", "--scale", "-1"};
+                                 "--seeds=0"};
     const std::optional<Options> opts = parseTest(whole);
     ASSERT_TRUE(opts.has_value());
     EXPECT_EQ(opts->getInt("pes", 0), 16);
     EXPECT_DOUBLE_EQ(opts->getDouble("timeout", 0), 0.5);
     EXPECT_EQ(opts->getInt("seeds", 1), 0);
-    EXPECT_EQ(opts->getInt("scale", 0), -1);
 
     const char* const exponent[] = {"prog", "--pes=1e3"};
     EXPECT_FALSE(parseTest(exponent).has_value());
@@ -200,6 +199,18 @@ TEST(Options, RefusesMalformedValues)
     EXPECT_FALSE(parseTest(unit).has_value());
     const char* const negative_count[] = {"prog", "--seeds=-1"};
     EXPECT_FALSE(parseTest(negative_count).has_value());
+    // Every integer flag is a count: cast to an unsigned type, -1 wraps.
+    const char* const negative_scale[] = {"prog", "--scale", "-1"};
+    EXPECT_FALSE(parseTest(negative_scale).has_value());
+    // strtoll would read this as 2^63-1.
+    const char* const past_int64[] = {"prog", "--scale=99999999999999999999"};
+    EXPECT_FALSE(parseTest(past_int64).has_value());
+    // A time budget is finite and >= 0.
+    for (const char* budget : {"--timeout=-1", "--timeout=nan",
+                               "--timeout=inf"}) {
+        const char* const argv[] = {"prog", budget};
+        EXPECT_FALSE(parseTest(argv).has_value()) << budget;
+    }
     const char* const last[] = {"prog", "--out"};
     EXPECT_FALSE(parseTest(last).has_value());
     const char* const before_flag[] = {"prog", "--out", "--smoke"};

@@ -2,6 +2,8 @@
 // strided RunGuard polled from System::access, the fault-kind names
 // and the family exit codes the bench binaries report.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/deadline.h"
@@ -27,12 +29,17 @@ TEST(Deadline, NeverNeverExpires)
 
 TEST(Deadline, GenerousBudgetIsNotExpiredImmediately)
 {
-    const Deadline deadline = Deadline::afterSeconds(3600);
-    EXPECT_FALSE(deadline.unlimited());
-    EXPECT_FALSE(deadline.expired());
-    EXPECT_DOUBLE_EQ(deadline.limitSeconds(), 3600.0);
-    EXPECT_GE(deadline.elapsedSeconds(), 0.0);
-    EXPECT_LT(deadline.elapsedSeconds(), 3600.0);
+    // Past about 9.2e9 s the steady clock cannot count the budget; such
+    // a budget must never expire, not wrap into a cutoff in the past.
+    for (const double budget :
+         {3600.0, 1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+        const Deadline deadline = Deadline::afterSeconds(budget);
+        EXPECT_FALSE(deadline.unlimited()) << budget;
+        EXPECT_FALSE(deadline.expired()) << budget;
+        EXPECT_DOUBLE_EQ(deadline.limitSeconds(), budget);
+        EXPECT_GE(deadline.elapsedSeconds(), 0.0);
+        EXPECT_LT(deadline.elapsedSeconds(), budget);
+    }
 }
 
 TEST(Deadline, TinyBudgetExpires)

@@ -3,12 +3,12 @@
  * Sweep engine tests (ctest label `sweep`): grid expansion order, spec
  * parsing, cross---jobs byte-identity of the SWEEP document,
  * SimFault-throwing tasks landing as failed rows without stopping the
- * other workers, and points a task would misread refused before any
- * task runs.
+ * other workers, and points a task would misread, or a grid too big to
+ * expand, refused before any task runs.
  */
 
+#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,6 +144,20 @@ TEST(SweepSpecTest, RejectsBadSpecs)
     EXPECT_THROW(parse(R"({"experiments":[
         {"id":"x","kind":"kl1","base":{"benchmark":"Tri"},
          "axes":{"pes":[]}}]})"),
+                 SimFault);
+    // A seed count or base seed is a whole number >= 0: the cast to an
+    // unsigned type would wrap -1 and truncate 2.5 to 2 seeds.
+    for (const char* seeds : {"-1", "2.5", "1e20"}) {
+        try {
+            parse(std::string(R"({"experiments":[
+                {"id":"x","kind":"stress","seeds":)") + seeds + "}]}");
+            ADD_FAILURE() << "seeds " << seeds << " was accepted";
+        } catch (const SimFault& fault) {
+            EXPECT_EQ(fault.kind(), SimFaultKind::Parse) << fault.message();
+        }
+    }
+    EXPECT_THROW(parse(R"({"seed":-1,"experiments":[
+        {"id":"x","kind":"stress"}]})"),
                  SimFault);
 }
 
@@ -303,7 +317,6 @@ TEST(SweepRunnerTest, OutgrownLockDirectoryIsOneFailedConfigRow)
     options.jobs = 3;
     const SweepOutcome outcome = runSweep(spec, options);
     ASSERT_EQ(outcome.rows.size(), 3u);
-    EXPECT_TRUE(outcome.complete);
     EXPECT_EQ(outcome.failedRows, 1u);
     EXPECT_FALSE(outcome.rows[0].failed);
     EXPECT_FALSE(outcome.rows[1].failed);
@@ -338,7 +351,6 @@ TEST(SweepRunnerTest, ImpossibleMachinesAreFailedConfigRows)
     options.jobs = 3;
     const SweepOutcome outcome = runSweep(spec, options);
     ASSERT_EQ(outcome.rows.size(), 3u);
-    EXPECT_TRUE(outcome.complete);
     EXPECT_EQ(outcome.failedRows, 3u);
     for (const SweepRow& row : outcome.rows) {
         EXPECT_TRUE(row.failed) << row.params.toString();
@@ -347,20 +359,28 @@ TEST(SweepRunnerTest, ImpossibleMachinesAreFailedConfigRows)
 }
 
 /**
- * Run @p spec with a checkpoint directory and expect SimFault(Config)
- * naming @p what, thrown before any task ran (no checkpoint written).
+ * Run @p spec and expect SimFault(Config) naming @p what, thrown before
+ * any task ran. The witness is a valid stress point put first in the
+ * grid, too long to finish, that a wall-clock budget stops after
+ * kSlowSeconds: had any task run, the refusal could not come back in a
+ * small fraction of that budget.
  */
 void
-expectRejectedBeforeAnyTaskRuns(const SweepSpec& spec,
-                                const std::string& what)
+expectRejectedBeforeAnyTaskRuns(SweepSpec spec, const std::string& what)
 {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::path(::testing::TempDir()) / "sweep_rejected";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
+    using Clock = std::chrono::steady_clock;
+    constexpr double kSlowSeconds = 5;
+    SweepExperiment slow;
+    slow.id = "slow";
+    slow.kind = TaskKind::Stress;
+    slow.seeds = 1;
+    slow.base.set("steps", ParamValue::ofNumber(1e9));
+    spec.experiments.insert(spec.experiments.begin(), std::move(slow));
+
     SweepOptions options;
     options.jobs = 2;
-    options.outDir = dir.string();
+    options.timeoutSeconds = kSlowSeconds;
+    const Clock::time_point start = Clock::now();
     try {
         runSweep(spec, options);
         ADD_FAILURE() << "expected SimFault(Config) naming " << what;
@@ -369,7 +389,8 @@ expectRejectedBeforeAnyTaskRuns(const SweepSpec& spec,
         EXPECT_NE(fault.message().find(what), std::string::npos)
             << fault.message();
     }
-    EXPECT_FALSE(fs::exists(dir / sweepCheckpointName()))
+    EXPECT_LT(std::chrono::duration<double>(Clock::now() - start).count(),
+              kSlowSeconds / 10)
         << "a task ran before the spec was checked";
 }
 
@@ -427,6 +448,33 @@ TEST(SweepRunnerTest, UnknownBenchmarkIsRejectedBeforeAnyTaskRuns)
     none.base.set("scale", ParamValue::ofNumber(1));
     missing.experiments.push_back(none);
     expectRejectedBeforeAnyTaskRuns(missing, "'benchmark'");
+}
+
+TEST(SweepRunnerTest, GridPastTheTaskCapIsRejectedBeforeAnyTaskRuns)
+{
+    // Expanded, four billion seeds would exhaust memory.
+    SweepSpec seeds = miniSpec();
+    SweepExperiment many;
+    many.id = "many";
+    many.kind = TaskKind::Stress;
+    many.seeds = 4000000000;
+    seeds.experiments.push_back(many);
+    expectRejectedBeforeAnyTaskRuns(seeds, "more than 100000 tasks");
+
+    // Four axes of 2^16 values make 2^64 points, which a wrapping count
+    // reads as an empty grid.
+    std::vector<ParamValue> values;
+    for (int v = 0; v < 1 << 16; ++v)
+        values.push_back(ParamValue::ofNumber(v));
+    SweepSpec axes = miniSpec();
+    SweepExperiment wide;
+    wide.id = "wide";
+    wide.kind = TaskKind::Stress;
+    for (const char* axis : {"pes", "ways", "sets", "steps"})
+        wide.axes.push_back({axis, values});
+    axes.experiments.push_back(std::move(wide));
+    EXPECT_EQ(axes.totalTasks(), SIZE_MAX);
+    expectRejectedBeforeAnyTaskRuns(axes, "more than 100000 tasks");
 }
 
 TEST(SweepRunnerTest, ScaleOverrideAppliesToKl1Tasks)
