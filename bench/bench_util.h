@@ -48,8 +48,8 @@ struct BenchContext {
     parse(int argc, const char* const* argv,
           std::initializer_list<Flag> extra = {})
     {
-        std::vector<Flag> flags = {{"scale", Flag::Count},
-                                   {"pes", Flag::Count}};
+        std::vector<Flag> flags = {{"scale", Flag::Count32},
+                                   {"pes", Flag::Count32}};
         flags.insert(flags.end(), extra);
         std::optional<Options> parsed = Options::parse(argc, argv, flags);
         if (!parsed)

@@ -115,8 +115,8 @@ run(int argc, const char* const* argv)
 {
     const BenchContext ctx = BenchContext::parse(
         argc, argv,
-        {{"clusters", Flag::Bool}, {"cluster-size", Flag::Count},
-         {"hop-cycles", Flag::Count}, {"cluster-max-pes", Flag::Count},
+        {{"clusters", Flag::Bool}, {"cluster-size", Flag::Count32},
+         {"hop-cycles", Flag::Count32}, {"cluster-max-pes", Flag::Count32},
          {"cluster-bench", Flag::String}});
     banner("Figure 3: Number of PEs vs Bus Traffic", ctx);
 

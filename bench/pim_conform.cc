@@ -118,17 +118,17 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
 }
 
 const Flag kFlags[] = {
-    {"pes", Flag::Count},          {"blocks", Flag::Count},
-    {"block-words", Flag::Count},  {"ways", Flag::Count},
-    {"sets", Flag::Count},         {"lock-entries", Flag::Count},
-    {"cluster-size", Flag::Count}, {"hop-cycles", Flag::Count},
-    {"mutate", Flag::String},      {"protocol", Flag::String},
-    {"replacement", Flag::String}, {"replay", Flag::String},
-    {"fuzz", Flag::Bool},          {"seed", Flag::Count},
-    {"traces", Flag::Count},       {"len", Flag::Count},
-    {"no-shrink", Flag::Bool},     {"depth", Flag::Count},
-    {"max-states", Flag::Count},   {"expect-divergence", Flag::Bool},
-    {"max-shrunk", Flag::Count},   {"list-mutations", Flag::Bool},
+    {"pes", Flag::Count32},            {"blocks", Flag::Count32},
+    {"block-words", Flag::Count32},    {"ways", Flag::Count32},
+    {"sets", Flag::Count32},           {"lock-entries", Flag::Count32},
+    {"cluster-size", Flag::Count32},   {"hop-cycles", Flag::Count32},
+    {"mutate", Flag::String},          {"protocol", Flag::String},
+    {"replacement", Flag::String},     {"replay", Flag::String},
+    {"fuzz", Flag::Bool},              {"seed", Flag::Count},
+    {"traces", Flag::Count32},         {"len", Flag::Count32},
+    {"no-shrink", Flag::Bool},         {"depth", Flag::Count32},
+    {"max-states", Flag::Count},       {"expect-divergence", Flag::Bool},
+    {"max-shrunk", Flag::Count},       {"list-mutations", Flag::Bool},
     {"list-protocols", Flag::Bool},
 };
 

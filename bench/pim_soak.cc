@@ -135,7 +135,8 @@ usage()
         "pim_soak: chaos soak campaign over the fault-injection plans\n"
         "  --smoke             small deterministic grid (CI; default is\n"
         "                      the full plan set)\n"
-        "  --seeds=N           seeds per plan (default: smoke 3, full 8)\n"
+        "  --seeds=N           seeds per plan, at least 1 (default: smoke\n"
+        "                      3, full 8)\n"
         "  --steps=N           references per cell (default: smoke 6000,\n"
         "                      full 20000)\n"
         "  --pes=N             PEs per cell (default: 4)\n"
@@ -147,9 +148,9 @@ usage()
 }
 
 const Flag kFlags[] = {
-    {"smoke", Flag::Bool},     {"seeds", Flag::Count},
-    {"steps", Flag::Count},    {"pes", Flag::Count},
-    {"seed", Flag::Count},     {"jobs", Flag::Count},
+    {"smoke", Flag::Bool},     {"seeds", Flag::Count32},
+    {"steps", Flag::Count},    {"pes", Flag::Count32},
+    {"seed", Flag::Count},     {"jobs", Flag::Count32},
     {"timeout", Flag::Double}, {"out", Flag::String},
     {"list", Flag::Bool},      {"help", Flag::Bool},
 };
@@ -222,6 +223,13 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
+    // To the sweep engine 0 seeds means no seed axis: one cell a plan,
+    // not none.
+    if (opts.getInt("seeds", 1) == 0) {
+        std::fprintf(stderr, "pim_soak: --seeds must be at least 1\n");
+        usage();
+        return 1;
+    }
 
     return runMain("pim_soak", [&] {
         const bool smoke = opts.has("smoke");
@@ -234,19 +242,6 @@ main(int argc, char** argv)
             opts.getInt("steps", smoke ? 6000 : 20000));
         const auto pes =
             static_cast<std::uint32_t>(opts.getInt("pes", 4));
-
-        if (opts.has("list")) {
-            for (std::size_t p = 0; p < num_plans; ++p) {
-                std::printf("%-16s %-12s %s\n", plans[p].name,
-                            plans[p].mustDetect ? "must-detect"
-                                                : "observe",
-                            plans[p].spec[0] == '\0' ? "(clean control)"
-                                                     : plans[p].spec);
-            }
-            std::printf("%zu plans x %u seeds = %zu cells\n", num_plans,
-                        seeds, num_plans * seeds);
-            return 0;
-        }
 
         // Build the campaign as a sweep: one stress experiment per
         // plan, the seeds as the engine's implicit seed axis. Rides the
@@ -281,6 +276,18 @@ main(int argc, char** argv)
         options.timeoutSeconds = opts.getDouble("timeout", 60);
 
         checkSpec(spec);
+        if (opts.has("list")) {
+            for (std::size_t p = 0; p < num_plans; ++p) {
+                std::printf("%-16s %-12s %s\n", plans[p].name,
+                            plans[p].mustDetect ? "must-detect"
+                                                : "observe",
+                            plans[p].spec[0] == '\0' ? "(clean control)"
+                                                     : plans[p].spec);
+            }
+            std::printf("%zu plans x %u seeds = %zu cells\n", num_plans,
+                        seeds, spec.totalTasks());
+            return 0;
+        }
         std::printf("== soak %s: %zu plans x %u seeds = %zu cells on "
                     "up to %u workers ==\n",
                     spec.name.c_str(), num_plans, seeds,

@@ -64,16 +64,16 @@ usage()
 }
 
 const Flag kFlags[] = {
-    {"seed", Flag::Count},             {"pes", Flag::Count},
-    {"geometry", Flag::String},        {"steps", Flag::Count},
-    {"span", Flag::Count},             {"write-pct", Flag::Count},
-    {"lock-pct", Flag::Count},         {"opt-pct", Flag::Count},
-    {"plan", Flag::String},            {"trace-out", Flag::String},
-    {"timeline-out", Flag::String},    {"attribution-out", Flag::String},
-    {"expect-fault", Flag::Bool},      {"help", Flag::Bool},
-    {"starvation-bound", Flag::Count}, {"livelock-retries", Flag::Count},
-    {"timeout", Flag::Double},         {"cluster-size", Flag::Count},
-    {"hop-cycles", Flag::Count},
+    {"seed", Flag::Count},               {"pes", Flag::Count32},
+    {"geometry", Flag::String},          {"steps", Flag::Count},
+    {"span", Flag::Count},               {"write-pct", Flag::Count32},
+    {"lock-pct", Flag::Count32},         {"opt-pct", Flag::Count32},
+    {"plan", Flag::String},              {"trace-out", Flag::String},
+    {"timeline-out", Flag::String},      {"attribution-out", Flag::String},
+    {"expect-fault", Flag::Bool},        {"help", Flag::Bool},
+    {"starvation-bound", Flag::Count},   {"livelock-retries", Flag::Count32},
+    {"timeout", Flag::Double},           {"cluster-size", Flag::Count32},
+    {"hop-cycles", Flag::Count32},
 };
 
 /** Run the one seed @p opts names and print its outcome. */

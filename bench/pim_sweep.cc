@@ -52,8 +52,8 @@ usage()
 }
 
 const Flag kFlags[] = {
-    {"spec", Flag::String},    {"jobs", Flag::Count},
-    {"out", Flag::String},     {"scale", Flag::Count},
+    {"spec", Flag::String},    {"jobs", Flag::Count32},
+    {"out", Flag::String},     {"scale", Flag::Count32},
     {"list", Flag::Bool},      {"timeout", Flag::Double},
     {"help", Flag::Bool},
 };
@@ -98,15 +98,13 @@ main(int argc, char** argv)
 
         checkSpec(spec);
         if (opts.has("list")) {
-            std::size_t index = 0;
-            for (const SweepExperiment& experiment : spec.experiments) {
-                for (const SweepPoint& point : experiment.expand()) {
-                    std::printf("%4zu %-24s %s\n", index++,
-                                experiment.id.c_str(),
-                                point.toString().c_str());
-                }
+            const std::vector<SweepRow> rows = expandGrid(spec, options);
+            for (const SweepRow& row : rows) {
+                std::printf("%4zu %-24s %s\n", row.taskIndex,
+                            spec.experiments[row.experiment].id.c_str(),
+                            row.params.toString().c_str());
             }
-            std::printf("%zu tasks\n", index);
+            std::printf("%zu tasks\n", rows.size());
             return 0;
         }
 

@@ -141,10 +141,10 @@ int
 main(int argc, char** argv)
 {
     const Flag flags[] = {
-        {"pes", Flag::Count},      {"block", Flag::Count},
-        {"ways", Flag::Count},     {"capacity", Flag::Count},
-        {"pattern", Flag::String}, {"trace-in", Flag::String},
-        {"n", Flag::Count},        {"illinois", Flag::Bool},
+        {"pes", Flag::Count32},     {"block", Flag::Count32},
+        {"ways", Flag::Count32},    {"capacity", Flag::Count},
+        {"pattern", Flag::String},  {"trace-in", Flag::String},
+        {"n", Flag::Count},         {"illinois", Flag::Bool},
     };
     const std::optional<Options> parsed = Options::parse(argc, argv, flags);
     if (!parsed)

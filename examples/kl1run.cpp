@@ -14,7 +14,8 @@
  *   --illinois       use the copy-back-on-share baseline protocol
  *   --gc             enable stop-and-copy heap GC (semispace heaps)
  *   --heap W         heap words per PE (default 2^22)
- *   --report         print the emulator step counts and every standard
+ *   --report         print the emulator step counts, the host memory
+ *                    of the per-address tables and every standard
  *                    report table
  *   --disasm         print the compiled KL1-B code and exit
  *   --trace FILE     record the memory-reference trace to FILE
@@ -140,6 +141,8 @@ run(const Options& opts)
                     fmtCount(stats.steps).c_str(),
                     fmtCount(stats.idleSteps).c_str(),
                     fmtCount(stats.spins).c_str());
+        std::fputs(reportFootprint(emu.system().hostFootprint()).c_str(),
+                   stdout);
         std::fputs(reportAll(emu.system()).c_str(), stdout);
     }
     return 0;
@@ -153,8 +156,8 @@ main(int argc, char** argv)
     using namespace pim;
 
     const Flag flags[] = {
-        {"pes", Flag::Count},      {"policy", Flag::String},
-        {"block", Flag::Count},    {"ways", Flag::Count},
+        {"pes", Flag::Count32},    {"policy", Flag::String},
+        {"block", Flag::Count32},  {"ways", Flag::Count32},
         {"capacity", Flag::Count}, {"illinois", Flag::Bool},
         {"gc", Flag::Bool},        {"heap", Flag::Count},
         {"report", Flag::Bool},    {"disasm", Flag::Bool},

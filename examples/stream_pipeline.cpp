@@ -109,7 +109,7 @@ main(int argc, char** argv)
 {
     using namespace pim;
 
-    const Flag flags[] = {{"limit", Flag::Count}, {"pes", Flag::Count}};
+    const Flag flags[] = {{"limit", Flag::Count}, {"pes", Flag::Count32}};
     const std::optional<Options> parsed = Options::parse(argc, argv, flags);
     if (!parsed)
         return 1;

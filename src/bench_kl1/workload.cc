@@ -52,6 +52,7 @@ runBenchmark(const BenchProgram& bench, std::uint32_t scale,
     result.refs = emu.system().refStats();
     result.bus = emu.system().bus().stats();
     result.cache = emu.system().totalCacheStats();
+    result.footprint = emu.system().hostFootprint();
     return result;
 }
 

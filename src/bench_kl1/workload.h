@@ -26,6 +26,7 @@ struct BenchResult {
     RefStats refs;
     BusStats bus;
     CacheStats cache;
+    HostFootprint footprint; ///< Per-address tables at the end of the run.
     std::uint32_t numPes = 0;
     std::uint64_t sourceLines = 0;
 };

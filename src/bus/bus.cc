@@ -310,21 +310,13 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
 void
 Bus::setPurgeMark(Addr block_addr, bool marked)
 {
-    const std::size_t index = blockIndexOf(block_addr);
-    const std::size_t page = index >> kMarkPageShift;
-    if (page >= purgeMarks_.size() || purgeMarks_[page] == nullptr) {
-        if (!marked)
-            return;
-        if (page >= purgeMarks_.size())
-            purgeMarks_.resize(page + 1);
-        purgeMarks_[page] = std::make_unique<std::uint64_t[]>(kMarkPageWords);
+    const std::uint64_t index = blockIndexOf(block_addr);
+    const std::uint64_t bit = 1ull << (index & 63);
+    if (marked) {
+        *purgeMarks_.touch(index >> 6) |= bit;
+    } else if (std::uint64_t* word = purgeMarks_.find(index >> 6)) {
+        *word &= ~bit;
     }
-    std::uint64_t& word =
-        purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)];
-    if (marked)
-        word |= 1ull << (index & 63);
-    else
-        word &= ~(1ull << (index & 63));
 }
 
 void
@@ -506,25 +498,24 @@ Bus::snapshotPurgeMarks(Addr lo, Addr hi,
     out.push_back(0);
     std::uint64_t count = 0;
     const std::uint32_t block = timing_.blockWords;
-    std::size_t index = blockIndexOf(lo + block - 1); // First base >= lo.
+    std::uint64_t index = blockIndexOf(lo + block - 1); // First base >= lo.
     for (; index * block < hi; ++index) {
-        const std::size_t page = index >> kMarkPageShift;
-        if (page >= purgeMarks_.size())
-            break;
-        if (purgeMarks_[page] == nullptr) {
-            // Skip an absent page in one step.
-            index = ((page + 1) << kMarkPageShift) - 1;
+        const std::uint64_t* word = purgeMarks_.find(index >> 6);
+        if (word == nullptr) {
+            // Skip an absent page or directory in one step.
+            const std::uint64_t end = purgeMarks_.absentEnd(index >> 6);
+            if (end > (hi - 1) / block / 64)
+                break;
+            index = end * 64 - 1;
             continue;
         }
-        const std::uint64_t word =
-            purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)];
-        if (word == 0) {
+        if (*word == 0) {
             // Skip the rest of an empty 64-block run in one step.
             index |= 63;
             continue;
         }
-        if ((word >> (index & 63) & 1) != 0) {
-            out.push_back(static_cast<std::uint64_t>(index) * block);
+        if ((*word >> (index & 63) & 1) != 0) {
+            out.push_back(index * block);
             ++count;
         }
     }

@@ -16,7 +16,6 @@
 #define PIMCACHE_BUS_BUS_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bus/cluster_bus.h"
@@ -197,8 +196,9 @@ struct UpdateResult {
 class Bus
 {
   public:
-    /** Blocks one page of the purge-mark bitmap covers (4096 words). */
-    static constexpr std::size_t kPurgeMarkPageBlocks = std::size_t{1} << 18;
+    /** Blocks one page of the purge-mark table covers (256 words). */
+    static constexpr std::size_t kPurgeMarkPageBlocks =
+        std::size_t{PageTable::kPageWords} * 64;
 
     Bus(const BusTiming& timing, PagedStore& memory,
         const ClusterConfig& cluster = ClusterConfig{});
@@ -306,11 +306,9 @@ class Bus
     bool
     purgedDirtyMarked(Addr block_addr) const
     {
-        const std::size_t index = blockIndexOf(block_addr);
-        const std::size_t page = index >> kMarkPageShift;
-        return page < purgeMarks_.size() && purgeMarks_[page] != nullptr &&
-               (purgeMarks_[page][(index >> 6) & (kMarkPageWords - 1)] >>
-                    (index & 63) & 1) != 0;
+        const std::uint64_t index = blockIndexOf(block_addr);
+        const std::uint64_t* word = purgeMarks_.find(index >> 6);
+        return word != nullptr && (*word >> (index & 63) & 1) != 0;
     }
 
     /**
@@ -353,6 +351,9 @@ class Bus
     }
 
     const ResidencyFilter& residency() const { return residency_; }
+
+    /** The purge-mark bitmap (host footprint). */
+    const PageTable& purgeMarkTable() const { return purgeMarks_; }
 
     /** The cluster partition and per-cluster bus occupancy. */
     const ClusterTopology& clusters() const { return clusters_; }
@@ -403,10 +404,10 @@ class Bus
     void emitTxn(const BusTxnEvent& event);
 
     /** Block number of @p block_addr (purge-mark bitmap index). */
-    std::size_t
+    std::uint64_t
     blockIndexOf(Addr block_addr) const
     {
-        return static_cast<std::size_t>(block_addr >> blockShift_);
+        return block_addr >> blockShift_;
     }
 
     void setPurgeMark(Addr block_addr, bool marked);
@@ -426,22 +427,18 @@ class Bus
     EventSink* sink_ = nullptr;
     BusStats stats_;
     std::uint32_t blockShift_ = 0; ///< log2(blockWords).
-    static constexpr unsigned kMarkPageShift = 18;
-    static constexpr std::size_t kMarkPageWords =
-        kPurgeMarkPageBlocks / 64;
-    static_assert(std::size_t{1} << kMarkPageShift == kPurgeMarkPageBlocks);
 
     /**
      * Bit per block number, set while the block's last dirty copy was
-     * purged without copy-back, in pages of kMarkPageWords words that are
-     * allocated on the first mark they hold (the PagedStore idiom), so
-     * the bitmap costs memory for the marked stretches of the address
-     * space, not for its size. Index-ordered, so snapshotPurgeMarks
-     * walks a range in address order without any per-call sort, and the
-     * per-fetch membership test is one shift, one page load and one
-     * indexed load.
+     * purged without copy-back: entry i of the table is the bitmap word
+     * of blocks 64i to 64i+63. Pages are allocated on the first mark
+     * they hold, so the bitmap costs memory for the marked stretches of
+     * the address space, not for its size. Index-ordered, so
+     * snapshotPurgeMarks walks a range in address order without any
+     * per-call sort, and the per-fetch membership test is one table
+     * lookup.
      */
-    std::vector<std::unique_ptr<std::uint64_t[]>> purgeMarks_;
+    PageTable purgeMarks_;
 };
 
 } // namespace pim

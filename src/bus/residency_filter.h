@@ -30,21 +30,22 @@
  * (src/bus/cluster_bus.h): a remote cluster is routed while one of its
  * PEs is in the block's copy or lock set.
  *
- * Entries live in pages allocated on first touch (the PagedStore idiom):
- * a lookup is one shift, one page-pointer load and one indexed load, and
- * a 1024-PE machine with a sparse multi-gigaword address space costs
- * memory proportional to the blocks it actually caches, not to its
+ * Each set of masks is a PageTable (common/page_table.h) indexed by block
+ * number, one entry of maskWords() words per block. A page is 2 KiB
+ * whatever the width (256 entries up to 64 PEs, 128 at 128 PEs, 16 at
+ * 1024) and is allocated on the first bit set in it, behind a two-level
+ * index: a lookup is two shifts and three loads, and a 1024-PE machine
+ * with a sparse multi-gigaword address space costs memory for the
+ * blocks its caches and lock directories touch, not for its
  * address-space size.
  */
 
 #ifndef PIMCACHE_BUS_RESIDENCY_FILTER_H_
 #define PIMCACHE_BUS_RESIDENCY_FILTER_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
+#include "common/page_table.h"
 #include "common/pe_bitset.h"
 #include "common/types.h"
 #include "common/xassert.h"
@@ -55,9 +56,6 @@ namespace pim {
 class ResidencyFilter
 {
   public:
-    /** Block entries per storage page (entry = maskWords() words). */
-    static constexpr std::size_t kPageBlocks = 1024;
-
     /**
      * Widest supported mask in words; bounds the stack buffers the bus
      * walks copy entries into (64 words = 4096 PEs, far past the
@@ -84,7 +82,7 @@ class ResidencyFilter
     /**
      * Note that @p pe participates in the system, growing the per-block
      * entry to cover it. Registration happens at attach time — before
-     * any traffic — but growth re-lays existing pages out correctly
+     * any traffic — but widening re-lays existing entries out correctly
      * regardless.
      */
     void
@@ -94,28 +92,27 @@ class ResidencyFilter
         PIM_ASSERT(needed <= kMaxMaskWords, "pe", pe,
                    " exceeds the residency filter's ", kMaxMaskWords * 64,
                    "-PE mask limit");
-        if (needed > maskWords_) {
-            regrow(copies_, needed);
-            regrow(locks_, needed);
-            maskWords_ = needed;
+        if (needed > maskWords()) {
+            copies_.widen(needed);
+            locks_.widen(needed);
         }
     }
 
     /** Mask words per block entry (1 for machines of up to 64 PEs). */
-    std::uint32_t maskWords() const { return maskWords_; }
+    std::uint32_t maskWords() const { return copies_.entryWords(); }
 
     /** @p pe's cache now holds a valid copy of @p block. */
     void
     addCopy(PeId pe, Addr block)
     {
-        entry(copies_, indexOf(block))[pe >> 6] |= bit(pe);
+        copies_.touch(indexOf(block))[pe >> 6] |= bit(pe);
     }
 
     /** @p pe's cache no longer holds @p block. */
     void
     removeCopy(PeId pe, Addr block)
     {
-        std::uint64_t* words = entryIfPresent(copies_, indexOf(block));
+        std::uint64_t* words = copies_.find(indexOf(block));
         if (words != nullptr)
             words[pe >> 6] &= ~bit(pe);
     }
@@ -129,9 +126,9 @@ class ResidencyFilter
     setLockResident(PeId pe, Addr block, bool resident)
     {
         if (resident) {
-            entry(locks_, indexOf(block))[pe >> 6] |= bit(pe);
+            locks_.touch(indexOf(block))[pe >> 6] |= bit(pe);
         } else {
-            std::uint64_t* words = entryIfPresent(locks_, indexOf(block));
+            std::uint64_t* words = locks_.find(indexOf(block));
             if (words != nullptr)
                 words[pe >> 6] &= ~bit(pe);
         }
@@ -155,8 +152,7 @@ class ResidencyFilter
     std::uint64_t
     copyWord(Addr block, std::uint32_t word) const
     {
-        const std::uint64_t* words =
-            entryIfPresent(copies_, indexOf(block));
+        const std::uint64_t* words = copies_.find(indexOf(block));
         return words != nullptr ? words[word] : 0;
     }
 
@@ -164,7 +160,7 @@ class ResidencyFilter
     std::uint64_t
     lockWord(Addr block, std::uint32_t word) const
     {
-        const std::uint64_t* words = entryIfPresent(locks_, indexOf(block));
+        const std::uint64_t* words = locks_.find(indexOf(block));
         return words != nullptr ? words[word] : 0;
     }
 
@@ -172,11 +168,10 @@ class ResidencyFilter
     bool
     anyCopyExcept(Addr block, PeId except) const
     {
-        const std::uint64_t* words =
-            entryIfPresent(copies_, indexOf(block));
+        const std::uint64_t* words = copies_.find(indexOf(block));
         if (words == nullptr)
             return false;
-        for (std::uint32_t w = 0; w < maskWords_; ++w) {
+        for (std::uint32_t w = 0; w < maskWords(); ++w) {
             std::uint64_t mask = words[w];
             if (w == (except >> 6))
                 mask &= ~bit(except);
@@ -200,15 +195,13 @@ class ResidencyFilter
     holderClusters(Addr block, bool copies, bool locks,
                    std::uint32_t cluster_size) const
     {
-        const std::size_t index = indexOf(block);
-        const std::uint64_t* copy =
-            copies ? entryIfPresent(copies_, index) : nullptr;
-        const std::uint64_t* lock =
-            locks ? entryIfPresent(locks_, index) : nullptr;
+        const std::uint64_t index = indexOf(block);
+        const std::uint64_t* copy = copies ? copies_.find(index) : nullptr;
+        const std::uint64_t* lock = locks ? locks_.find(index) : nullptr;
         if (copy == nullptr && lock == nullptr)
             return 0;
         std::uint64_t clusters = 0;
-        for (std::uint32_t w = 0; w < maskWords_; ++w) {
+        for (std::uint32_t w = 0; w < maskWords(); ++w) {
             std::uint64_t holders = (copy != nullptr ? copy[w] : 0) |
                                     (lock != nullptr ? lock[w] : 0);
             const PeId base = w << 6;
@@ -246,79 +239,47 @@ class ResidencyFilter
         walk(locks_, block, skip, fn);
     }
 
-  private:
-    /** Pages of kPageBlocks entries, maskWords_ words each. */
-    struct MaskStore {
-        std::vector<std::unique_ptr<std::uint64_t[]>> pages;
-    };
+    /** The copy masks, one entry per block (host footprint). */
+    const PageTable& copyTable() const { return copies_; }
 
+    /** The lock-residency masks (host footprint). */
+    const PageTable& lockTable() const { return locks_; }
+
+  private:
     static std::uint64_t bit(PeId pe) { return 1ull << (pe & 63); }
 
-    std::size_t
+    std::uint64_t
     indexOf(Addr block) const
     {
-        return static_cast<std::size_t>(block >> shift_);
-    }
-
-    /** Entry for @p index, materializing its page on first touch. */
-    std::uint64_t*
-    entry(MaskStore& store, std::size_t index)
-    {
-        const std::size_t page = index / kPageBlocks;
-        if (page >= store.pages.size())
-            store.pages.resize(page + 1);
-        if (store.pages[page] == nullptr) {
-            store.pages[page] = std::make_unique<std::uint64_t[]>(
-                kPageBlocks * maskWords_);
-            for (std::size_t i = 0; i < kPageBlocks * maskWords_; ++i)
-                store.pages[page][i] = 0;
-        }
-        return &store.pages[page][(index % kPageBlocks) * maskWords_];
-    }
-
-    /** Entry for @p index, or nullptr when its page never materialized. */
-    const std::uint64_t*
-    entryIfPresent(const MaskStore& store, std::size_t index) const
-    {
-        const std::size_t page = index / kPageBlocks;
-        if (page >= store.pages.size() || store.pages[page] == nullptr)
-            return nullptr;
-        return &store.pages[page][(index % kPageBlocks) * maskWords_];
-    }
-
-    std::uint64_t*
-    entryIfPresent(MaskStore& store, std::size_t index)
-    {
-        return const_cast<std::uint64_t*>(
-            static_cast<const ResidencyFilter*>(this)->entryIfPresent(
-                store, index));
+        return block >> shift_;
     }
 
     PeBitset
-    maskOf(const MaskStore& store, Addr block) const
+    maskOf(const PageTable& masks, Addr block) const
     {
-        const std::uint64_t* words = entryIfPresent(store, indexOf(block));
+        const std::uint64_t* words = masks.find(indexOf(block));
         if (words == nullptr)
-            return PeBitset(maskWords_);
-        return PeBitset::fromWords(words, maskWords_);
+            return PeBitset(maskWords());
+        return PeBitset::fromWords(words, maskWords());
     }
 
     template <typename Fn>
     void
-    walk(const MaskStore& store, Addr block, PeId skip, Fn&& fn) const
+    walk(const PageTable& masks, Addr block, PeId skip, Fn&& fn) const
     {
-        const std::uint64_t* words = entryIfPresent(store, indexOf(block));
+        const std::uint64_t* words = masks.find(indexOf(block));
         if (words == nullptr)
             return;
         // Snapshot the entry so fn's residency updates cannot shift the
         // walk (the single-word design got this for free by copying the
         // mask into a register).
+        const std::uint32_t mask_words = maskWords();
         std::uint64_t local[kMaxMaskWords];
-        for (std::uint32_t w = 0; w < maskWords_; ++w)
+        for (std::uint32_t w = 0; w < mask_words; ++w)
             local[w] = words[w];
-        if ((skip >> 6) < maskWords_)
+        if ((skip >> 6) < mask_words)
             local[skip >> 6] &= ~bit(skip);
-        for (std::uint32_t w = 0; w < maskWords_; ++w) {
+        for (std::uint32_t w = 0; w < mask_words; ++w) {
             std::uint64_t mask = local[w];
             while (mask != 0) {
                 fn(static_cast<PeId>((static_cast<std::uint64_t>(w) << 6) +
@@ -328,35 +289,9 @@ class ResidencyFilter
         }
     }
 
-    /** Re-lay @p store out for @p new_words-wide entries. */
-    void
-    regrow(MaskStore& store, std::uint32_t new_words)
-    {
-        if (store.pages.empty() || new_words == maskWords_)
-            return;
-        MaskStore wider;
-        wider.pages.resize(store.pages.size());
-        for (std::size_t p = 0; p < store.pages.size(); ++p) {
-            if (store.pages[p] == nullptr)
-                continue;
-            wider.pages[p] = std::make_unique<std::uint64_t[]>(
-                kPageBlocks * new_words);
-            for (std::size_t i = 0; i < kPageBlocks * new_words; ++i)
-                wider.pages[p][i] = 0;
-            for (std::size_t i = 0; i < kPageBlocks; ++i) {
-                for (std::uint32_t w = 0; w < maskWords_; ++w) {
-                    wider.pages[p][i * new_words + w] =
-                        store.pages[p][i * maskWords_ + w];
-                }
-            }
-        }
-        store.pages = std::move(wider.pages);
-    }
-
-    std::uint32_t maskWords_ = 1; ///< ceil(maxPe+1 / 64), grown by registerPe.
     std::uint32_t shift_ = 0; ///< log2 of the block size.
-    MaskStore copies_; ///< Block index -> PE copy mask entry.
-    MaskStore locks_;  ///< Block index -> lock-residency mask entry.
+    PageTable copies_; ///< Block index -> PE copy mask entry.
+    PageTable locks_;  ///< Block index -> lock-residency mask entry.
 };
 
 } // namespace pim

@@ -36,7 +36,11 @@ valueRule(Flag::Type type, const std::string& value)
         return "a whole number >= 0";
     // strtoll saturates a value past the int64 range and says so only
     // in errno.
-    return errno == ERANGE ? "a whole number below 2^63" : nullptr;
+    if (errno == ERANGE)
+        return "a whole number below 2^63";
+    return type == Flag::Count32 && number >> 32 != 0
+               ? "a whole number below 2^32"
+               : nullptr;
 }
 
 } // namespace

@@ -26,6 +26,8 @@ struct Flag {
                 ///< 0-led octal. Every integer a binary reads is a size,
                 ///< count, seed or bound cast to an unsigned type, where
                 ///< -1 would wrap to 2^32-1 or 2^64-1.
+        Count32, ///< A Count the binary stores in 32 bits: below 2^32, so
+                 ///< the cast cannot truncate it.
         Double, ///< A finite floating-point number >= 0 (a time budget).
         String, ///< Any text.
     };
@@ -45,7 +47,8 @@ class Options
      * after printing "<program>: <reason>" to stderr, on an unknown
      * flag, a Bool flag given a value, a valued flag given none, a
      * number that does not parse whole, a Count that is negative or past
-     * the int64 range, a Double that is negative or not finite, or one
+     * the int64 range, a Count32 of 2^32 or more, a Double that is
+     * negative or not finite, or one
      * positional more than the binary reads: each would otherwise run
      * something other than the run asked for.
      */
@@ -63,7 +66,7 @@ class Options
     /** Every value given for --name, in order. */
     std::vector<std::string> getAll(const std::string& name) const;
 
-    /** Value of the Count flag --name, or @p fallback. */
+    /** Value of the Count or Count32 flag --name, or @p fallback. */
     std::int64_t getInt(const std::string& name, std::int64_t fallback) const;
 
     /** Double value of --name, or @p fallback. */

@@ -165,4 +165,23 @@ reportAll(const System& system)
     return os.str();
 }
 
+std::string
+reportFootprint(const HostFootprint& footprint)
+{
+    std::ostringstream os;
+    os << "footprint (pages, KiB):";
+    const char* separator = " ";
+    for (const auto& [name, table] :
+         {std::pair{"memory words", footprint.memoryWords},
+          std::pair{"copy masks", footprint.copyMasks},
+          std::pair{"lock masks", footprint.lockMasks},
+          std::pair{"purge marks", footprint.purgeMarks}}) {
+        os << separator << name << " " << fmtCount(table.pages) << ", "
+           << fmtCount((table.bytes + 1023) / 1024);
+        separator = "; ";
+    }
+    os << "\n";
+    return os.str();
+}
+
 } // namespace pim

@@ -35,6 +35,13 @@ Table reportLocks(const System& system);
 /** All of the above concatenated, ready to print. */
 std::string reportAll(const System& system);
 
+/**
+ * One line of the host memory the per-address tables hold: pages and KiB
+ * (pages, directories and top level, rounded up) of memory words, copy
+ * masks, lock masks and purge marks.
+ */
+std::string reportFootprint(const HostFootprint& footprint);
+
 } // namespace pim
 
 #endif // PIMCACHE_SIM_REPORT_H_

@@ -339,6 +339,16 @@ System::totalCacheStats() const
     return total;
 }
 
+HostFootprint
+System::hostFootprint() const
+{
+    const auto of = [](const PageTable& table) {
+        return TableFootprint{table.pages(), table.bytes()};
+    };
+    return {of(memory_.table()), of(bus_->residency().copyTable()),
+            of(bus_->residency().lockTable()), of(bus_->purgeMarkTable())};
+}
+
 void
 System::onUnlockBroadcast(Addr word_addr, Cycles when)
 {

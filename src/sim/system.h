@@ -106,6 +106,20 @@ class AccessObserver
     }
 };
 
+/** Pages and host bytes of one per-address table (common/page_table.h). */
+struct TableFootprint {
+    std::uint64_t pages = 0;
+    std::uint64_t bytes = 0;
+};
+
+/** Host memory of the per-address tables (docs/PERFORMANCE.md). */
+struct HostFootprint {
+    TableFootprint memoryWords;
+    TableFootprint copyMasks;
+    TableFootprint lockMasks;
+    TableFootprint purgeMarks;
+};
+
 /** N PEs + caches + lock directories + bus + shared memory. */
 class System : public UnlockListener
 {
@@ -202,6 +216,9 @@ class System : public UnlockListener
 
     /** Aggregate cache statistics over all PEs. */
     CacheStats totalCacheStats() const;
+
+    /** What the memory, residency and purge-mark tables hold now. */
+    HostFootprint hostFootprint() const;
 
     /**
      * Observe every completed reference (post-policy). Used to capture

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
@@ -217,6 +218,14 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
 }
 
 /**
+ * The numbers a task stores in 64 bits; it casts every other number it
+ * reads to 32 bits.
+ */
+constexpr const char* k64BitParams[] = {
+    "capacityWords", "seed", "steps", "spanWords", "starvationBound",
+};
+
+/**
  * checkSpec for one point of @p experiment. An unknown benchmark is
  * refused here, before any task runs: a misspelt name is a wrong spec,
  * not one failed row per point.
@@ -236,11 +245,25 @@ checkPoint(const SweepPoint& point, const SweepExperiment& experiment)
                                 " points have no parameter '", name, "'");
         }
         // Every number a task reads is a size, count or seed, cast to
-        // an unsigned type: a negative one would wrap.
-        if (value.isNumber && value.number < 0) {
+        // an unsigned type: a negative one would wrap, a fraction would
+        // truncate, and so would a number past the type's range (past
+        // 2^64 the cast is undefined).
+        if (!value.isNumber)
+            continue;
+        if (value.number < 0) {
             throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
                                 experiment.id, "': parameter '", name,
                                 "' must be >= 0");
+        }
+        const bool wide = std::find(std::begin(k64BitParams),
+                                    std::end(k64BitParams),
+                                    name) != std::end(k64BitParams);
+        if (value.number != std::floor(value.number) ||
+            value.number >= (wide ? 0x1p64 : 0x1p32)) {
+            throw PIM_SIM_FAULT(SimFaultKind::Config, "sweep: experiment '",
+                                experiment.id, "': parameter '", name,
+                                "' must be a whole number below 2^",
+                                wide ? 64 : 32);
         }
     }
     if (!kl1)
@@ -407,6 +430,27 @@ checkSpec(const SweepSpec& spec)
     }
 }
 
+std::vector<SweepRow>
+expandGrid(const SweepSpec& spec, const SweepOptions& options)
+{
+    std::vector<SweepRow> rows;
+    for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
+        const SweepExperiment& experiment = spec.experiments[e];
+        for (SweepPoint& point : experiment.expand()) {
+            SweepRow row;
+            row.taskIndex = rows.size();
+            row.experiment = e;
+            row.params = std::move(point);
+            if (options.scale != 0 && experiment.kind == TaskKind::Kl1) {
+                row.params.set("scale", ParamValue::ofNumber(
+                                            options.scale));
+            }
+            rows.push_back(std::move(row));
+        }
+    }
+    return rows;
+}
+
 SweepOutcome
 runSweep(const SweepSpec& spec, const SweepOptions& options)
 {
@@ -417,20 +461,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
 
     // Expand the grid up front: rows[i] is task i's pre-assigned slot,
     // so workers never contend and completion order cannot matter.
-    for (std::size_t e = 0; e < spec.experiments.size(); ++e) {
-        const SweepExperiment& experiment = spec.experiments[e];
-        for (SweepPoint& point : experiment.expand()) {
-            SweepRow row;
-            row.taskIndex = outcome.rows.size();
-            row.experiment = e;
-            row.params = std::move(point);
-            if (options.scale != 0 && experiment.kind == TaskKind::Kl1) {
-                row.params.set("scale", ParamValue::ofNumber(
-                                            options.scale));
-            }
-            outcome.rows.push_back(std::move(row));
-        }
-    }
+    outcome.rows = expandGrid(spec, options);
 
     // No more workers than tasks, and at least one.
     outcome.jobs = parallelForThreads(outcome.rows.size(), options.jobs);

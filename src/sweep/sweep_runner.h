@@ -75,12 +75,21 @@ inline constexpr std::size_t kMaxSweepTasks = 100000;
  * Refuse a spec whose points its tasks would misread: a grid of more
  * than kMaxSweepTasks tasks (counted before anything is expanded), a
  * parameter the task kind never reads (it would silently run at the
- * default), a negative number, or a kl1 point with a missing or
- * unknown benchmark.
+ * default), a negative or fractional number, a number past the 32 or 64
+ * bits the task stores it in, or a kl1 point with a missing or unknown
+ * benchmark.
  *
  * @throws SimFault(Config) naming the experiment and the parameter.
  */
 void checkSpec(const SweepSpec& spec);
+
+/**
+ * The grid @p spec runs under @p options: one row per task, in task
+ * order, with options.scale set on every kl1 point. runSweep runs these
+ * rows and `pim_sweep --list` prints them.
+ */
+std::vector<SweepRow> expandGrid(const SweepSpec& spec,
+                                 const SweepOptions& options);
 
 /**
  * Expand @p spec and run every task once on @p options.jobs workers (at

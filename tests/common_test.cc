@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/options.h"
+#include "common/page_table.h"
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "common/table.h"
@@ -219,6 +223,22 @@ TEST(Options, RefusesMalformedValues)
     EXPECT_FALSE(parseTest(bool_value).has_value());
 }
 
+TEST(Options, Count32RefusesWhatThirtyTwoBitsCannotHold)
+{
+    const Flag flags[] = {{"pes", Flag::Count32}, {"steps", Flag::Count}};
+    const auto parse = [&](const char* arg) {
+        const char* const argv[] = {"prog", arg};
+        return Options::parse(2, argv, flags);
+    };
+    const std::optional<Options> top = parse("--pes=4294967295");
+    ASSERT_TRUE(top.has_value());
+    EXPECT_EQ(top->getInt("pes", 0), 4294967295);
+    EXPECT_TRUE(parse("--steps=4294967296").has_value());
+    for (const char* arg : {"--pes=4294967296", "--pes=0x100000002",
+                            "--pes=99999999999999999999", "--pes=-1"})
+        EXPECT_FALSE(parse(arg).has_value()) << arg;
+}
+
 TEST(Options, RefusesUndeclaredPositionals)
 {
     // A binary that reads no positional refuses one: "smoke" meant
@@ -271,6 +291,157 @@ TEST(Table, RuleSeparators)
         ++rules;
     }
     EXPECT_EQ(rules, 4);
+}
+
+TEST(PageTable, LookupBeforeAnyWriteIsNullAndAllocatesNothing)
+{
+    PageTable table(2);
+    for (const std::uint64_t index :
+         {std::uint64_t{0}, std::uint64_t{1} << 20,
+          (std::uint64_t{1} << 40) + 5}) {
+        EXPECT_EQ(table.find(index), nullptr) << index;
+        EXPECT_EQ(table.absentEnd(index),
+                  std::numeric_limits<std::uint64_t>::max());
+    }
+    EXPECT_EQ(table.pages(), 0u);
+    EXPECT_EQ(table.bytes(), 0u);
+
+    // One write holds one page, its directory and a one-slot top level;
+    // lookups anywhere else still allocate nothing.
+    table.touch(3)[0] = 1;
+    const std::uint64_t one_page =
+        PageTable::kPageWords * 8 + PageTable::kDirPages * 8 + 8;
+    EXPECT_EQ(table.bytes(), one_page);
+    EXPECT_EQ(table.find(table.entriesPerPage()), nullptr);
+    EXPECT_EQ(table.find(std::uint64_t{1} << 40), nullptr);
+    EXPECT_EQ(table.pages(), 1u);
+    EXPECT_EQ(table.bytes(), one_page);
+}
+
+TEST(PageTable, PagesHoldTwoKiBWhateverTheEntryWidth)
+{
+    for (const auto& [width, entries] :
+         {std::pair{1u, 256u}, std::pair{2u, 128u}, std::pair{3u, 64u},
+          std::pair{16u, 16u}, std::pair{64u, 4u}, std::pair{256u, 1u}}) {
+        PageTable table(width);
+        EXPECT_EQ(table.entryWords(), width);
+        EXPECT_EQ(table.entriesPerPage(), entries) << width;
+        table.touch(entries - 1);
+        table.touch(0);
+        EXPECT_EQ(table.pages(), 1u) << width;
+        table.touch(entries);
+        EXPECT_EQ(table.pages(), 2u) << width;
+    }
+}
+
+TEST(PageTable, NewEntryReadsZero)
+{
+    PageTable table(3);
+    std::uint64_t* entry = table.touch(77);
+    for (std::uint32_t w = 0; w < 3; ++w)
+        EXPECT_EQ(entry[w], 0u);
+    entry[1] = 9;
+    EXPECT_EQ(table.find(77)[1], 9u);
+    for (const std::uint64_t neighbour : {76u, 78u}) {
+        const std::uint64_t* words = table.find(neighbour);
+        ASSERT_NE(words, nullptr);
+        for (std::uint32_t w = 0; w < 3; ++w)
+            EXPECT_EQ(words[w], 0u);
+    }
+    EXPECT_EQ(table.touch(77), entry);
+    EXPECT_EQ(table.pages(), 1u);
+}
+
+TEST(PageTable, IndicesPastTwoToThe33AcrossPageAndDirectoryEdges)
+{
+    PageTable table(2);
+    const std::uint64_t page = table.entriesPerPage();
+    const std::uint64_t dir = page * PageTable::kDirPages;
+    const std::uint64_t edge = (std::uint64_t{1} << 33) + 5 * dir;
+    // Both sides of a directory edge, of the page edge after it, and of
+    // the next directory edge.
+    const std::uint64_t indices[] = {edge - 1,        edge,
+                                     edge + page - 1, edge + page,
+                                     edge + dir - 1,  edge + dir};
+    for (const std::uint64_t index : indices)
+        table.touch(index)[1] = index;
+    for (const std::uint64_t index : indices) {
+        const std::uint64_t* words = table.find(index);
+        ASSERT_NE(words, nullptr) << index;
+        EXPECT_EQ(words[0], 0u) << index;
+        EXPECT_EQ(words[1], index) << index;
+    }
+    EXPECT_EQ(table.pages(), 5u);
+
+    // An unwritten page inside a written directory, and an unwritten
+    // directory, read null and are each skipped in one step.
+    EXPECT_EQ(table.find(edge + 2 * page), nullptr);
+    EXPECT_EQ(table.absentEnd(edge + 2 * page), edge + 3 * page);
+    EXPECT_EQ(table.find(edge - 2 * dir + 7), nullptr);
+    EXPECT_EQ(table.absentEnd(edge - 2 * dir + 7), edge - dir);
+    EXPECT_EQ(table.absentEnd(edge + 5 * dir),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(table.pages(), 5u);
+}
+
+TEST(PageTable, WideningKeepsEveryBit)
+{
+    PageTable table(1);
+    const std::uint64_t page = table.entriesPerPage();
+    const std::pair<std::uint64_t, std::uint64_t> writes[] = {
+        {0, 1},
+        {page - 1, ~std::uint64_t{0}},
+        {page, 0x8000000000000001ull},
+        {page * PageTable::kDirPages, 0x1234},
+        {(std::uint64_t{1} << 33) + 3, 0xfeedull << 40},
+    };
+    for (const auto& [index, value] : writes)
+        *table.touch(index) = value;
+
+    table.widen(3);
+    EXPECT_EQ(table.entryWords(), 3u);
+    EXPECT_EQ(table.entriesPerPage(), 64u);
+    for (const auto& [index, value] : writes) {
+        std::uint64_t* words = table.find(index);
+        ASSERT_NE(words, nullptr) << index;
+        EXPECT_EQ(words[0], value) << index;
+        EXPECT_EQ(words[1], 0u) << index;
+        EXPECT_EQ(words[2], 0u) << index;
+        words[2] = ~value;
+    }
+
+    table.widen(16);
+    for (const auto& [index, value] : writes) {
+        const std::uint64_t* words = table.find(index);
+        ASSERT_NE(words, nullptr) << index;
+        EXPECT_EQ(words[0], value) << index;
+        EXPECT_EQ(words[2], ~value) << index;
+        EXPECT_EQ(words[15], 0u) << index;
+    }
+    // Only pages holding a set bit were laid out again.
+    EXPECT_EQ(table.pages(), std::size(writes));
+    EXPECT_EQ(table.find(3 * page), nullptr);
+}
+
+TEST(PageTable, ClearEmptiesTheTable)
+{
+    PageTable table(2);
+    const std::uint64_t indices[] = {0, std::uint64_t{1} << 20,
+                                     std::uint64_t{1} << 34};
+    for (const std::uint64_t index : indices)
+        table.touch(index)[0] = 1;
+    EXPECT_EQ(table.pages(), 3u);
+    table.clear();
+    EXPECT_EQ(table.pages(), 0u);
+    EXPECT_EQ(table.bytes(), 0u);
+    for (const std::uint64_t index : indices)
+        EXPECT_EQ(table.find(index), nullptr) << index;
+    EXPECT_EQ(table.entryWords(), 2u);
+
+    // A cleared table takes writes again, zeroed.
+    std::uint64_t* words = table.touch(std::uint64_t{1} << 34);
+    EXPECT_EQ(words[0], 0u);
+    EXPECT_EQ(table.pages(), 1u);
 }
 
 } // namespace

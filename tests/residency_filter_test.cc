@@ -24,6 +24,7 @@
 
 #include "bus/residency_filter.h"
 #include "common/rng.h"
+#include "mem/layout.h"
 #include "sim/system.h"
 #include "trace/ref.h"
 
@@ -203,6 +204,38 @@ TEST(ResidencyFilterUnit, HolderClustersMatchAPerClusterScan)
     }
     // 64: sizes 1-100; 128: 3-100; 1024: 16-100.
     EXPECT_EQ(machines, 15);
+}
+
+TEST(ResidencyFilterUnit, FootprintFollowsTheBlocksTouchedAt1024Pes)
+{
+    // One copy bit and one lock bit in each of 1024 PEs' comm segments
+    // of the KL1 layout. Pages of a fixed number of entries would cost
+    // each segment a page of 1024 sixteen-word entries (128 KiB) per
+    // mask; 2 KiB pages of 16 entries, behind directories allocated as
+    // they are touched, must cost at least ten times less.
+    constexpr std::uint32_t kPes = 1024;
+    LayoutConfig config;
+    config.numPes = kPes;
+    const Layout layout(config);
+    ResidencyFilter filter;
+    filter.setBlockWords(4);
+    filter.registerPe(kPes - 1);
+    ASSERT_EQ(filter.maskWords(), 16u);
+    for (PeId pe = 0; pe < kPes; ++pe) {
+        const Addr block = layout.segment(Area::Comm, pe).base;
+        filter.addCopy(pe, block);
+        filter.setLockResident(pe, block, true);
+    }
+    EXPECT_EQ(filter.copyTable().pages(), kPes);
+    EXPECT_EQ(filter.lockTable().pages(), kPes);
+    const std::uint64_t fixed_entry_pages = 2ull * kPes * (128 << 10);
+    EXPECT_LE(10 * (filter.copyTable().bytes() + filter.lockTable().bytes()),
+              fixed_entry_pages);
+    for (PeId pe = 0; pe < kPes; pe += 99) {
+        const Addr block = layout.segment(Area::Comm, pe).base;
+        EXPECT_EQ(filter.copyMask(block).count(), 1u);
+        EXPECT_TRUE(filter.lockMask(block).test(pe));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -89,8 +89,8 @@ rowOf(const Pin& pin)
     return out.str();
 }
 
-/** Run @p pin's machine and expect every pinned figure. */
-void
+/** Run @p pin's machine, expect every pinned figure, return the run. */
+BenchResult
 expectPinned(const Pin& pin)
 {
     const BenchResult result = runBenchmark(
@@ -112,6 +112,21 @@ expectPinned(const Pin& pin)
                   run.spins,          result.bus.totalCycles,
                   fingerprint(result.bus)};
     EXPECT_EQ(rowOf(got), rowOf(pin));
+    return result;
+}
+
+/**
+ * Pages each per-address table holds at the end of a run, as a row to
+ * paste: {memory words, copy masks, lock masks, purge marks}.
+ */
+std::string
+pagesOf(const HostFootprint& footprint)
+{
+    std::ostringstream out;
+    out << "{" << footprint.memoryWords.pages << ", "
+        << footprint.copyMasks.pages << ", " << footprint.lockMasks.pages
+        << ", " << footprint.purgeMarks.pages << "}";
+    return out.str();
 }
 
 // clang-format off
@@ -149,6 +164,11 @@ constexpr Pin kWidePins[] = {
 constexpr Pin kPascal1024 =
     {"Pascal", 1024, 16, 5584, 160, 160, 117485, 5656110, 627, 599224, 29205741, 28955146, 24330020, 5793472, 0xae7eccf562a192a7ull};
 // clang-format on
+
+// kPascal1024's host tables: {memory words, copy masks, lock masks,
+// purge marks} pages of 2 KiB (docs/PERFORMANCE.md "Host memory").
+// Unlike the pins above, these move with the tables' page layout.
+constexpr const char* kPascal1024Pages = "{254, 1566, 1432, 39}";
 
 TEST(StepPins, SingleBusUpTo64Pes)
 {
@@ -189,7 +209,8 @@ TEST(StepPinsWide, Tri128SingleBusAndClustered128And256)
 
 TEST(StepPinsWide, Pascal1024Clustered)
 {
-    expectPinned(kPascal1024);
+    const BenchResult result = expectPinned(kPascal1024);
+    EXPECT_EQ(pagesOf(result.footprint), kPascal1024Pages);
 }
 
 } // namespace

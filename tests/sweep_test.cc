@@ -431,6 +431,62 @@ TEST(SweepRunnerTest, NegativeNumberIsRejectedBeforeAnyTaskRuns)
     expectRejectedBeforeAnyTaskRuns(spec, "'steps' must be >= 0");
 }
 
+TEST(SweepRunnerTest, NumberPastItsBitsIsRejectedBeforeAnyTaskRuns)
+{
+    // Cast to 32 bits, 2^32 + 2 PEs would run Tri on two PEs and report
+    // the row under the wider count; a fraction would truncate.
+    SweepSpec wide = miniSpec();
+    SweepExperiment pes;
+    pes.id = "pes";
+    pes.base.set("benchmark", ParamValue::ofText("Tri"));
+    pes.base.set("pes", ParamValue::ofNumber(4294967298.0));
+    wide.experiments.push_back(pes);
+    expectRejectedBeforeAnyTaskRuns(
+        wide, "'pes' must be a whole number below 2^32");
+
+    SweepSpec half = miniSpec();
+    SweepExperiment scale;
+    scale.id = "scale";
+    scale.base.set("benchmark", ParamValue::ofText("Tri"));
+    scale.base.set("scale", ParamValue::ofNumber(1.5));
+    half.experiments.push_back(scale);
+    expectRejectedBeforeAnyTaskRuns(
+        half, "'scale' must be a whole number below 2^32");
+
+    // The step count is 64 bits wide: 2^32 is a step count, 2^64 is not.
+    SweepSpec steps = miniSpec();
+    SweepExperiment huge;
+    huge.id = "huge";
+    huge.kind = TaskKind::Stress;
+    huge.seeds = 1;
+    huge.base.set("steps", ParamValue::ofNumber(0x1p64));
+    steps.experiments.push_back(huge);
+    expectRejectedBeforeAnyTaskRuns(
+        steps, "'steps' must be a whole number below 2^64");
+    SweepSpec long_run = miniSpec();
+    huge.base.set("steps", ParamValue::ofNumber(0x1p32));
+    long_run.experiments.push_back(huge);
+    EXPECT_NO_THROW(checkSpec(long_run));
+}
+
+TEST(SweepRunnerTest, ListedGridIsTheGridThatRuns)
+{
+    // expandGrid is what runSweep runs and `pim_sweep --list` prints:
+    // the --scale override lands on every kl1 point, in task order.
+    const SweepSpec spec = SweepSpec::smokeGrid();
+    SweepOptions options;
+    options.scale = 3;
+    const std::vector<SweepRow> rows = expandGrid(spec, options);
+    ASSERT_EQ(rows.size(), spec.totalTasks());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows[i].taskIndex, i);
+        const bool kl1 =
+            spec.experiments[rows[i].experiment].kind == TaskKind::Kl1;
+        EXPECT_EQ(rows[i].params.number("scale", 0), kl1 ? 3 : 0)
+            << rows[i].params.toString();
+    }
+}
+
 TEST(SweepRunnerTest, UnknownBenchmarkIsRejectedBeforeAnyTaskRuns)
 {
     // Unchecked, every point of the experiment would fail the same way.
